@@ -24,6 +24,12 @@
 # reruns microbench_slot so its zero-steady-state-alloc claim is
 # reproduced by the guard counters themselves.
 #
+# `sh scripts/ci.sh bench` runs the census benchmark's correctness smoke:
+# `benchmark/run.py --quick` (golden digests, the rerun digest, paper λ
+# tolerances, completion and runStandalone replays; timings are printed,
+# not judged), then the benchmark project's own ctest, whose decorator
+# self-test rebuilds each census from public calls.
+#
 # `sh scripts/ci.sh lint [--diff BASE]` runs the static-analysis gate
 # (clang-tidy with the checked-in .clang-tidy,
 # scripts/check_invariants.py with SARIF output, and the clang-format
@@ -61,6 +67,16 @@ if [ "$mode" = "enforce" ]; then
   RFID_JSON="$enforcedir/BENCH_slot.json" ./build-enforce/bench/microbench_slot
   python3 scripts/validate_report.py "$enforcedir/BENCH_slot.json"
   echo "ci.sh: enforce green"
+  exit 0
+fi
+
+if [ "$mode" = "bench" ]; then
+  benchdir=$(mktemp -d)
+  trap 'rm -rf "$benchdir"' EXIT
+  python3 benchmark/run.py --quick --out "$benchdir/results.json"
+  cmake --build benchmark/build -j "$(nproc 2>/dev/null || echo 4)"
+  ctest --test-dir benchmark/build --output-on-failure
+  echo "ci.sh: bench green"
   exit 0
 fi
 

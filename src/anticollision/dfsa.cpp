@@ -28,22 +28,22 @@ std::string DynamicFsa::name() const {
 
 bool DynamicFsa::run(sim::SlotEngine& engine, std::span<tags::Tag> tags,
                      common::Rng& rng) {
-  return frameMode() == FrameMode::kBatched
-             ? runBatched(engine, tags, rng, nullptr)
-             : runScalar(engine, tags, rng);
+  return runFrames(engine, tags, rng, nullptr);
 }
 
 bool DynamicFsa::runWithSnapshot(sim::SlotEngine& engine,
                                  std::span<tags::Tag> tags, common::Rng& rng,
                                  const sim::TagSoA& soa) {
-  return frameMode() == FrameMode::kBatched
-             ? runBatched(engine, tags, rng, &soa)
-             : runScalar(engine, tags, rng);
+  return runFrames(engine, tags, rng, &soa);
 }
 
-bool DynamicFsa::runBatched(sim::SlotEngine& engine, std::span<tags::Tag> tags,
-                            common::Rng& rng, const sim::TagSoA* soa) {
-  batcher_.beginRound(tags, engine, soa);
+// rfid:hot begin
+// rfid:noexcept-allow: beginRound and runFrame carry test-pinned REQUIREs
+bool DynamicFsa::runFrames(sim::SlotEngine& engine, std::span<tags::Tag> tags,
+                           common::Rng& rng, const sim::TagSoA* soa) {
+  batcher_.beginRound(tags, engine, soa, frameMode());
+  // beginRound's private snapshot gather may allocate; the frames may not.
+  ALLOC_GUARD_HOT();
   std::size_t frameSize = initialFrame_;
   std::size_t slotsUsed = 0;
 
@@ -84,101 +84,6 @@ bool DynamicFsa::runBatched(sim::SlotEngine& engine, std::span<tags::Tag> tags,
           ++census.collided;
           break;
       }
-    }
-    const std::size_t backlog = estimateBacklog(estimator_, census);
-    frameSize = std::clamp(backlog, minFrame_, maxFrame_);
-  }
-}
-
-// The per-slot reference loop. Kept bit-identical to runBatched (same
-// draws in the same order, same frame accounting, same truncation
-// behaviour); tests/test_frame_batch.cpp diffs the two end to end.
-// rfid:hot begin
-// rfid:noexcept-allow: drives the scalar runSlot, which owns the throwing
-// per-slot API checks
-bool DynamicFsa::runScalar(sim::SlotEngine& engine, std::span<tags::Tag> tags,
-                           common::Rng& rng) {
-  ALLOC_GUARD_HOT();
-  blockerIndicesInto(tags, blockersScratch_);
-  std::size_t frameSize = initialFrame_;
-  std::size_t slotsUsed = 0;
-
-  // One full population scan up front; each later frame only drops the
-  // newly identified tags (same incremental refresh as FrameBatcher).
-  activeTagIndicesInto(tags, activeScratch_);
-  bool firstFrame = true;
-  for (;;) {
-    if (slotsUsed >= maxSlots()) {
-      return false;
-    }
-    const std::size_t slotsToRun = std::min(frameSize, maxSlots() - slotsUsed);
-    engine.metrics().recordFrame();
-    if (!firstFrame) {
-      filterStillActive(tags, activeScratch_);
-    }
-    firstFrame = false;
-    const bool anyResponse =
-        !activeScratch_.empty() || !blockersScratch_.empty();
-    if (buckets_.size() < slotsToRun) {
-      ALLOC_GUARD_ALLOW();
-      // rfid:hot-allow: high-water-mark growth; steady state reuses storage
-      buckets_.resize(slotsToRun);
-    }
-    for (std::size_t s = 0; s < slotsToRun; ++s) {
-      buckets_[s].clear();
-    }
-    for (const std::size_t idx : activeScratch_) {
-      const auto slot = static_cast<std::uint32_t>(rng.below(frameSize));
-      if (slot < slotsToRun) {
-        // Only slots that will actually run are committed — a draw past the
-        // budget truncation point leaves the tag's previous slotChoice (it
-        // never contends this frame), matching the batched path.
-        tags[idx].slotChoice = slot;
-        // rfid:hot-allow: amortized bucket growth, reused across frames
-        common::pushBackAmortized(buckets_[slot], idx);
-      }
-    }
-
-    FrameCensus census;
-    census.frameSize = frameSize;
-    for (std::size_t s = 0; s < slotsToRun; ++s) {
-      std::span<const std::size_t> slotResponders = buckets_[s];
-      if (!blockersScratch_.empty()) {
-        respondersScratch_.clear();
-        const std::size_t needed =
-            buckets_[s].size() + blockersScratch_.size();
-        if (respondersScratch_.capacity() < needed) {
-          ALLOC_GUARD_ALLOW();
-          // rfid:hot-allow: amortized responder growth, reused across slots
-          respondersScratch_.reserve(needed);
-        }
-        // rfid:hot-allow: amortized responder growth, reused across slots
-        respondersScratch_.insert(respondersScratch_.end(), buckets_[s].begin(),
-                                  buckets_[s].end());
-        // rfid:hot-allow: amortized responder growth, reused across slots
-        respondersScratch_.insert(respondersScratch_.end(),
-                                  blockersScratch_.begin(),
-                                  blockersScratch_.end());
-        slotResponders = respondersScratch_;
-      }
-      switch (engine.runSlot(tags, slotResponders, rng)) {
-        case phy::SlotType::kIdle:
-          ++census.idle;
-          break;
-        case phy::SlotType::kSingle:
-          ++census.single;
-          break;
-        case phy::SlotType::kCollided:
-          ++census.collided;
-          break;
-      }
-    }
-    slotsUsed += slotsToRun;
-    if (slotsToRun < frameSize) {
-      return false;  // budget exhausted mid-frame
-    }
-    if (!anyResponse) {
-      return true;
     }
     const std::size_t backlog = estimateBacklog(estimator_, census);
     frameSize = std::clamp(backlog, minFrame_, maxFrame_);

@@ -4,10 +4,11 @@
 // census and sizes the next frame to match it (Lemma 1: throughput peaks at
 // F = n).
 //
-// Frames are emitted as CSR slot batches by default (Protocol::FrameMode);
-// the census that feeds the estimator is read off the batch's per-slot
-// verdict span. The per-slot scalar loop remains as the pinned reference
-// path and the two are bit-identical (tests/test_frame_batch.cpp).
+// One frame loop; FrameBatcher emits each frame, as a CSR slot batch by
+// default or through the per-slot reference emitter (Protocol::FrameMode),
+// and the census that feeds the estimator is read off the frame's per-slot
+// verdict span. The two emitters are bit-identical
+// (tests/test_frame_batch.cpp).
 #pragma once
 
 #include "anticollision/estimators.hpp"
@@ -30,21 +31,14 @@ class DynamicFsa final : public Protocol {
   EstimatorKind estimator() const noexcept { return estimator_; }
 
  private:
-  bool runBatched(sim::SlotEngine& engine, std::span<tags::Tag> tags,
-                  common::Rng& rng, const sim::TagSoA* soa);
-  bool runScalar(sim::SlotEngine& engine, std::span<tags::Tag> tags,
-                 common::Rng& rng);
+  bool runFrames(sim::SlotEngine& engine, std::span<tags::Tag> tags,
+                 common::Rng& rng, const sim::TagSoA* soa);
 
   EstimatorKind estimator_;
   std::size_t initialFrame_;
   std::size_t minFrame_;
   std::size_t maxFrame_;
   FrameBatcher batcher_;
-  /// Scalar-path scratch, reused across frames and runs (high-water only).
-  std::vector<std::size_t> blockersScratch_;
-  std::vector<std::size_t> activeScratch_;
-  std::vector<std::vector<std::size_t>> buckets_;
-  std::vector<std::size_t> respondersScratch_;
 };
 
 }  // namespace rfid::anticollision

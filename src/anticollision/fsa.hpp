@@ -4,9 +4,9 @@
 // slot uniformly and transmits there; collided tags re-contend in the next
 // frame. Lemma 1: throughput peaks at 1/e ≈ 0.368 when F = n.
 //
-// Frames are emitted as CSR slot batches by default (Protocol::FrameMode);
-// the per-slot scalar loop remains as the pinned reference path and the two
-// are bit-identical (tests/test_frame_batch.cpp).
+// One frame loop; FrameBatcher emits each frame, as a CSR slot batch by
+// default or through the per-slot reference emitter (Protocol::FrameMode).
+// The two emitters are bit-identical (tests/test_frame_batch.cpp).
 #pragma once
 
 #include "anticollision/protocol.hpp"
@@ -27,18 +27,11 @@ class FramedSlottedAloha final : public Protocol {
   std::size_t frameSize() const noexcept { return frameSize_; }
 
  private:
-  bool runBatched(sim::SlotEngine& engine, std::span<tags::Tag> tags,
-                  common::Rng& rng, const sim::TagSoA* soa);
-  bool runScalar(sim::SlotEngine& engine, std::span<tags::Tag> tags,
-                 common::Rng& rng);
+  bool runFrames(sim::SlotEngine& engine, std::span<tags::Tag> tags,
+                 common::Rng& rng, const sim::TagSoA* soa);
 
   std::size_t frameSize_;
   FrameBatcher batcher_;
-  /// Scalar-path scratch, reused across frames and runs (high-water only).
-  std::vector<std::size_t> blockersScratch_;
-  std::vector<std::size_t> activeScratch_;
-  std::vector<std::vector<std::size_t>> buckets_;
-  std::vector<std::size_t> respondersScratch_;
 };
 
 }  // namespace rfid::anticollision

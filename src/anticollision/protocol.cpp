@@ -1,14 +1,14 @@
-// FrameBatcher: renders one framed-ALOHA frame as a CSR sim::SlotBatch.
+// FrameBatcher: the one frame emitter of FSA and DFSA.
 //
-// The scalar reference loops (FramedSlottedAloha::runScalar and the DFSA
-// equivalent) bucket each active tag's slot draw into per-slot vectors and
-// feed runSlot one slot at a time. This helper produces the identical
-// responder sequence — honest tags bucketed by draw in ascending tag
-// order, blockers appended to every slot — via a two-pass counting sort
-// into flat CSR arrays, then hands the whole frame to the engine in one
-// runSlotsBatchBlockers call. Bit-identity with the scalar loops is
-// inherited from the engine's batch contract; the differential tests in
-// tests/test_frame_batch.cpp pin it end to end.
+// Each frame is one sequence of slot draws, in ascending tag order, and
+// one of two emitters. The per-slot reference emitter (FrameMode::kScalar)
+// buckets the draws into per-slot vectors, appends the blockers, and feeds
+// runSlot one slot at a time. The batched emitter produces the identical
+// responder sequence via a two-pass counting sort into flat CSR arrays,
+// then hands the whole frame to the engine in one runSlotsBatchBlockers
+// call. The two stay separate code so the differential tests in
+// tests/test_frame_batch.cpp compare independent renderings; bit-identity
+// is inherited from the engine's batch contract.
 #include "anticollision/protocol.hpp"
 
 #include <algorithm>
@@ -20,7 +20,9 @@ namespace rfid::anticollision {
 
 void FrameBatcher::beginRound(std::span<const tags::Tag> tags,
                               const sim::SlotEngine& engine,
-                              const sim::TagSoA* shared) {
+                              const sim::TagSoA* shared,
+                              Protocol::FrameMode mode) {
+  mode_ = mode;
   if (shared != nullptr) {
     RFID_REQUIRE(shared->size() == tags.size(),
                  "shared SoA snapshot does not match the tag population");
@@ -54,6 +56,41 @@ std::span<const phy::SlotType> FrameBatcher::runFrame(
   RFID_REQUIRE(soa_ != nullptr, "beginRound must precede runFrame");
   RFID_REQUIRE(slotsToRun >= 1 && slotsToRun <= frameSize,
                "frame prefix must be non-empty and within the frame");
+  if (detected_.size() < slotsToRun) {
+    ALLOC_GUARD_ALLOW();
+    // rfid:hot-allow: high-water-mark growth; steady state reuses storage
+    detected_.resize(slotsToRun);
+  }
+
+  if (mode_ == Protocol::FrameMode::kScalar) {
+    // The per-slot reference emitter: bucket the draws, then one runSlot
+    // per slot with the blockers appended.
+    if (buckets_.size() < slotsToRun) {
+      ALLOC_GUARD_ALLOW();
+      // rfid:hot-allow: high-water-mark growth; steady state reuses storage
+      buckets_.resize(slotsToRun);
+    }
+    for (std::size_t s = 0; s < slotsToRun; ++s) {
+      buckets_[s].clear();
+    }
+    for (const std::size_t idx : active_) {
+      const auto slot = static_cast<std::uint32_t>(rng.below(frameSize));
+      if (slot < slotsToRun) {
+        tags[idx].slotChoice = slot;
+        // rfid:hot-allow: amortized bucket growth, reused across frames
+        common::pushBackAmortized(buckets_[slot], idx);
+      }
+    }
+    for (std::size_t s = 0; s < slotsToRun; ++s) {
+      for (const std::size_t b : blockers_) {
+        // rfid:hot-allow: amortized bucket growth, reused across frames
+        common::pushBackAmortized(buckets_[s], b);
+      }
+      detected_[s] = engine.runSlot(tags, buckets_[s], rng);
+    }
+    return {detected_.data(), slotsToRun};
+  }
+
   const std::size_t nActive = active_.size();
   if (counts_.size() < slotsToRun) {
     ALLOC_GUARD_ALLOW();
@@ -70,15 +107,10 @@ std::span<const phy::SlotType> FrameBatcher::runFrame(
     // rfid:hot-allow: high-water-mark growth; steady state reuses storage
     draws_.resize(nActive);
   }
-  if (detected_.size() < slotsToRun) {
-    ALLOC_GUARD_ALLOW();
-    // rfid:hot-allow: high-water-mark growth; steady state reuses storage
-    detected_.resize(slotsToRun);
-  }
 
-  // Pass 1 — every active tag draws its slot (the exact draw sequence of
-  // the scalar loops); draws inside the running prefix are committed to
-  // the tag and counted, the rest never contend this frame.
+  // Pass 1 — every active tag draws its slot (the same draw sequence as
+  // the reference emitter); draws inside the running prefix are committed
+  // to the tag and counted, the rest never contend this frame.
   std::fill(counts_.begin(),
             counts_.begin() + static_cast<std::ptrdiff_t>(slotsToRun), 0u);
   for (std::size_t k = 0; k < nActive; ++k) {
@@ -103,8 +135,8 @@ std::span<const phy::SlotType> FrameBatcher::runFrame(
   }
 
   // Pass 2 — stable placement: walking the active set in ascending tag
-  // order keeps each slot's honest responders in the order the scalar
-  // bucket loop would have pushed them (part of the RNG-order contract).
+  // order keeps each slot's honest responders in the order the reference
+  // emitter's buckets hold them (part of the RNG-order contract).
   for (std::size_t s = 0; s < slotsToRun; ++s) {
     counts_[s] = offsets_[s];
   }

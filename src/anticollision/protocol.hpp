@@ -21,14 +21,14 @@ namespace rfid::anticollision {
 
 class Protocol {
  public:
-  /// How a frame-based protocol emits its slots. kBatched (the default)
-  /// renders each frame as one CSR sim::SlotBatch and drives
-  /// SlotEngine::runSlotsBatch — bit-identical to the scalar loop by the
-  /// engine's equivalence contract (DESIGN.md §5d/§5e), but many times
-  /// faster when the packed fast path engages. kScalar pins the per-slot
-  /// runSlot reference loop; it exists for the differential tests and as a
-  /// debugging oracle. Protocols without a batched path (the tree walkers,
-  /// Q-adaptive) ignore the mode.
+  /// How a frame-based protocol emits its slots (FrameBatcher::runFrame).
+  /// kBatched (the default) renders each frame as one CSR sim::SlotBatch
+  /// and drives SlotEngine::runSlotsBatch — bit-identical to the per-slot
+  /// emitter by the engine's equivalence contract (DESIGN.md §5d/§5e), but
+  /// many times faster when the packed fast path engages. kScalar selects
+  /// the per-slot runSlot reference emitter; it exists for the differential
+  /// tests and as a debugging oracle. Protocols without a batched path (the
+  /// tree walkers, Q-adaptive) ignore the mode.
   enum class FrameMode { kBatched, kScalar };
 
   /// `maxSlots` is a safety cap: a run that exceeds it aborts and run()
@@ -96,26 +96,29 @@ class Protocol {
   FrameMode frameMode_ = FrameMode::kBatched;
 };
 
-/// Frame-batch emission scratch for the framed-ALOHA protocols (FSA/DFSA).
+/// The frame emitter of the framed-ALOHA protocols (FSA/DFSA).
 ///
 /// One instance lives on the protocol and is reused across frames and
 /// runs: every vector grows to a high-water mark only, so steady-state
 /// frames allocate nothing (bench/microbench_slot's frame-census pass
-/// counts). A frame is rendered exactly as the scalar loop would feed
-/// runSlot — honest responders bucketed by their fresh slot draw in
-/// ascending tag order, every blocker appended to every slot — except the
-/// whole frame goes to the engine as one CSR sim::SlotBatch, and the
-/// engine's equivalence contract (DESIGN.md §5d) makes the two paths
-/// bit-identical: same RNG consumption order, same metrics, same observer
-/// events, same tag state.
+/// counts). Every active tag draws a slot in ascending tag order; each
+/// slot's responders are its honest drawers in that order with every
+/// blocker appended. Two emitters feed those slots to the engine, chosen
+/// by the mode passed to beginRound: kBatched renders the whole frame as
+/// one CSR sim::SlotBatch by counting sort, kScalar buckets the draws and
+/// calls runSlot once per slot. The engine's equivalence contract
+/// (DESIGN.md §5d) makes the two bit-identical: same RNG consumption
+/// order, same metrics, same observer events, same tag state.
 class FrameBatcher {
  public:
-  /// Caches the blocker set and binds the SoA snapshot for the round:
-  /// `shared` when the caller gathered one (runWithSnapshot), otherwise a
-  /// freshly gathered private snapshot. Call at the top of every run();
-  /// blocker flags and tag IDs must stay fixed for the rest of the round.
+  /// Caches the blocker set, selects the round's emitter, and binds the SoA
+  /// snapshot for the round: `shared` when the caller gathered one
+  /// (runWithSnapshot), otherwise a freshly gathered private snapshot. Call
+  /// at the top of every run(); blocker flags and tag IDs must stay fixed
+  /// for the rest of the round.
   void beginRound(std::span<const tags::Tag> tags,
-                  const sim::SlotEngine& engine, const sim::TagSoA* shared);
+                  const sim::SlotEngine& engine, const sim::TagSoA* shared,
+                  Protocol::FrameMode mode = Protocol::FrameMode::kBatched);
 
   /// Blocker indices cached by beginRound.
   std::span<const std::size_t> blockers() const noexcept { return blockers_; }
@@ -131,10 +134,11 @@ class FrameBatcher {
   /// uniformly in [0, frameSize); draws landing in [0, slotsToRun) are
   /// committed to tags[idx].slotChoice and contend (budget-truncated frames
   /// run only that prefix — a tag whose slot never runs keeps its previous
-  /// slotChoice and stays active). The CSR batch goes through
-  /// SlotEngine::runSlotsBatchBlockers; the returned span holds the
-  /// slotsToRun effective per-slot verdicts (the runSlot return values),
-  /// valid until the next runFrame call.
+  /// slotChoice and stays active). In kBatched mode the CSR batch goes
+  /// through SlotEngine::runSlotsBatchBlockers, in kScalar mode each slot
+  /// through runSlot; the returned span holds the slotsToRun effective
+  /// per-slot verdicts (the runSlot return values), valid until the next
+  /// runFrame call.
   std::span<const phy::SlotType> runFrame(sim::SlotEngine& engine,
                                           std::span<tags::Tag> tags,
                                           std::size_t frameSize,
@@ -142,6 +146,7 @@ class FrameBatcher {
                                           common::Rng& rng);
 
  private:
+  Protocol::FrameMode mode_ = Protocol::FrameMode::kBatched;
   const sim::TagSoA* soa_ = nullptr;
   sim::TagSoA ownSoa_;
   std::vector<std::size_t> blockers_;
@@ -155,6 +160,8 @@ class FrameBatcher {
   std::vector<std::uint32_t> responders_;
   std::vector<std::uint32_t> offsets_;
   std::vector<phy::SlotType> detected_;
+  /// kScalar emitter: per-slot responder lists (honest, then blockers).
+  std::vector<std::vector<std::size_t>> buckets_;
 };
 
 inline std::vector<std::size_t> Protocol::activeTagIndices(
@@ -176,7 +183,7 @@ inline void Protocol::activeTagIndicesInto(std::span<const tags::Tag> tags,
   out.clear();
   for (std::size_t i = 0; i < tags.size(); ++i) {
     if (!tags[i].blocker && !tags[i].believesIdentified) {
-      // Amortized: the scalar reference loops call this under an active
+      // Amortized: FrameBatcher calls this under the frame loop's
       // allocation guard, and the scratch vector's capacity is reused
       // across frames.
       common::pushBackAmortized(out, i);

@@ -137,16 +137,19 @@ std::future<CensusResponse> InventoryService::submit(
   BoundedQueue<Job>& queue = *queues_[job.requestId % config_.shards];
   std::promise<CensusResponse>& promise = job.promise;
   switch (queue.tryPush(std::move(job))) {
-    case BoundedQueue<Job>::PushResult::kOk:
+    case BoundedQueue<Job>::PushResult::kOk: {
       ++counters_.accepted;
-      ++queuedNow_;
-      counters_.maxQueueDepth =
-          std::max(counters_.maxQueueDepth, queuedNow_);
+      // Pushes happen only here, under mutex_, and workers only pop, so
+      // this read never exceeds shards × queueCapacity.
+      const std::size_t depth = queuedTotal();
+      counters_.maxQueueDepth = std::max<std::uint64_t>(
+          counters_.maxQueueDepth, depth);
       if (acceptedCounter_ != nullptr) acceptedCounter_->add();
       if (queueDepthGauge_ != nullptr) {
-        queueDepthGauge_->set(static_cast<double>(queuedNow_));
+        queueDepthGauge_->set(static_cast<double>(depth));
       }
       break;
+    }
     case BoundedQueue<Job>::PushResult::kFull:
       ++counters_.rejectedQueueFull;
       if (rejectedQueueFullCounter_ != nullptr) {
@@ -189,7 +192,13 @@ LatencySnapshot InventoryService::latencySnapshot() const {
 
 std::size_t InventoryService::queueDepth() const {
   std::lock_guard lock(mutex_);
-  return static_cast<std::size_t>(queuedNow_);
+  return queuedTotal();
+}
+
+std::size_t InventoryService::queuedTotal() const {
+  std::size_t depth = 0;
+  for (const auto& queue : queues_) depth += queue->size();
+  return depth;
 }
 
 void InventoryService::shardLoop(std::size_t shard) {
@@ -202,12 +211,9 @@ void InventoryService::shardLoop(std::size_t shard) {
 void InventoryService::process(Job job) {
   const Clock::time_point dequeued = Clock::now();
   const double queueWaitMicros = microsBetween(job.enqueued, dequeued);
-  {
+  if (queueDepthGauge_ != nullptr) {
     std::lock_guard lock(mutex_);
-    --queuedNow_;
-    if (queueDepthGauge_ != nullptr) {
-      queueDepthGauge_->set(static_cast<double>(queuedNow_));
-    }
+    queueDepthGauge_->set(static_cast<double>(queuedTotal()));
   }
 
   CensusResponse response;

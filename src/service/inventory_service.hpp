@@ -133,6 +133,9 @@ class InventoryService {
     std::promise<CensusResponse> promise;
   };
 
+  /// Sum of the shard queues' sizes. Called under mutex_, which every push
+  /// holds, so the depth cannot grow while it is read.
+  std::size_t queuedTotal() const;
   void shardLoop(std::size_t shard);
   void process(Job job);
   void noteFinished(CensusOutcome outcome, double queueWaitMicros,
@@ -148,7 +151,6 @@ class InventoryService {
   ServiceCounters counters_;
   LatencySnapshot latency_;
   std::uint64_t nextId_ = 0;
-  std::uint64_t queuedNow_ = 0;  ///< accepted − dequeued (all shards)
   std::uint64_t finished_ = 0;   ///< completed + rejectedDeadline
   bool closed_ = false;
 

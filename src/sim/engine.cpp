@@ -2,6 +2,7 @@
 
 #include "common/alloc_guard.hpp"
 #include "common/require.hpp"
+#include "sim/engine_commit.hpp"
 
 namespace rfid::sim {
 
@@ -9,7 +10,15 @@ using phy::SlotType;
 
 SlotEngine::SlotEngine(const core::DetectionScheme& scheme,
                        phy::Channel& channel, Metrics& metrics)
-    : scheme_(scheme), channel_(channel), metrics_(metrics) {}
+    : scheme_(scheme), channel_(channel), metrics_(metrics) {
+  const phy::SlotTiming timing = scheme.timing();
+  for (const SlotType type :
+       {SlotType::kIdle, SlotType::kSingle, SlotType::kCollided}) {
+    slotMicros_[static_cast<std::size_t>(type)] =
+        scheme.air().bitsToMicros(timing.bitsFor(type));
+  }
+  setRecoveryPolicy(recovery_);  // the default policy's verify airtime
+}
 
 // rfid:hot begin
 // rfid:noexcept-allow: the responder-index REQUIRE throws PreconditionError
@@ -43,9 +52,6 @@ SlotType SlotEngine::runSlot(std::span<tags::Tag> tags,
     }
   }
 
-  const double slotStart = metrics_.nowMicros();
-  const std::uint64_t identifiedBefore = metrics_.identified();
-
   // An idle slot never reaches the channel: superposeInto would disengage
   // the scratch signal and drop its storage, forcing the next busy slot to
   // reallocate it.
@@ -66,98 +72,9 @@ SlotType SlotEngine::runSlot(std::span<tags::Tag> tags,
       signal = &rxScratch_.signal;
     }
   }
-  const phy::Reception& reception = rxScratch_;
-
-  const SlotType trueType = responders.empty() ? SlotType::kIdle
-                            : responders.size() == 1
-                                ? SlotType::kSingle
-                                : SlotType::kCollided;
   const SlotType detected = scheme_.classify(*signal, responders.size());
-
-  metrics_.recordSlot(
-      trueType, detected,
-      scheme_.air().bitsToMicros(scheme_.timing().bitsFor(detected)));
-
-  SlotType effective = detected;
-  if (detected == SlotType::kSingle) {
-    if (recovery_.ackVerify) {
-      // ACK-verify exchange: the reader echoes the ID it decoded and waits
-      // for the tag's confirmation. Costs airtime every time; fails when
-      // the read was corrupted in flight, when no single signal was
-      // actually captured (a misdetected collision — no tag recognizes the
-      // echoed OR-mixture), or when a blocker jammed the slot. A failed
-      // verify is treated as a collision: nobody falls silent, and the
-      // protocol re-queues the responders.
-      metrics_.chargeVerify(scheme_.air().bitsToMicros(recovery_.verifyBits));
-      const bool accepted =
-          reception.capturedIndex.has_value() && !reception.corrupted &&
-          !tags[responders[*reception.capturedIndex]].blocker;
-      metrics_.recordVerify(accepted);
-      if (accepted) {
-        const double now = metrics_.nowMicros();
-        tags::Tag& tag = tags[responders[*reception.capturedIndex]];
-        tag.believesIdentified = true;
-        tag.correctlyIdentified = true;
-        tag.identifiedAtMicros = now;
-        metrics_.recordIdentification(/*correct=*/true, now);
-      } else {
-        effective = SlotType::kCollided;
-      }
-    } else {
-      const double now = metrics_.nowMicros();
-      if (reception.capturedIndex.has_value()) {
-        // Exactly one signal was demodulated cleanly (a lone responder, or
-        // a capture-effect winner): the reader ACKs and reads the ID. If
-        // the channel flipped bits of that reply, the ACK still silences
-        // the tag but the reader has logged a wrong ID — a misread.
-        tags::Tag& tag = tags[responders[*reception.capturedIndex]];
-        if (!tag.blocker) {
-          const bool correct = !reception.corrupted;
-          tag.believesIdentified = true;
-          tag.correctlyIdentified = correct;
-          tag.identifiedAtMicros = now;
-          metrics_.recordIdentification(correct, now);
-          if (!correct) metrics_.recordMisread();
-        }
-      } else {
-        // Misdetected collision (e.g. all QCD responders drew the same r).
-        // The reader ACKs; every honest responder takes the ACK and falls
-        // silent, while the reader logs one phantom ID — the OR of the real
-        // ones.
-        std::uint64_t silenced = 0;
-        for (const std::size_t idx : responders) {
-          tags::Tag& tag = tags[idx];
-          if (tag.blocker) continue;
-          tag.believesIdentified = true;
-          tag.correctlyIdentified = false;
-          tag.identifiedAtMicros = now;
-          metrics_.recordIdentification(/*correct=*/false, now);
-          ++silenced;
-        }
-        metrics_.recordPhantom(silenced);
-      }
-    }
-  }
-
-  if (observer_ != nullptr) {
-    // Observers own their allocation budget (the engine contract covers
-    // engine allocations); test observers log events into vectors.
-    ALLOC_GUARD_ALLOW();
-    SlotEvent event;
-    event.index = slotIndex_;
-    event.trueType = trueType;
-    event.detectedType = detected;
-    event.responders = responders.size();
-    event.startMicros = slotStart;
-    event.durationMicros = metrics_.nowMicros() - slotStart;
-    event.identified = metrics_.identified() - identifiedBefore;
-    observer_->onSlot(event);
-  }
-  ++slotIndex_;
-  // The confusion matrix and the observer saw the raw detection; the
-  // protocol is told the *effective* type (a rejected verify reads as a
-  // collision so the responders are re-queued).
-  return effective;
+  return commitSlot(tags, responders, detected, rxScratch_.capturedIndex,
+                    rxScratch_.corrupted);
 }
 // rfid:hot end
 

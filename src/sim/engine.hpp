@@ -6,6 +6,10 @@
 // phantom identification after a misdetected collision) is applied to tag
 // state. Protocols only decide *who responds in which slot*.
 //
+// The scalar runSlot and the packed batch kernel differ only in how they
+// encode, superpose and classify: both end in the one private commit,
+// commitSlot (sim/engine_commit.hpp).
+//
 // Hot-path contract: the engine owns all per-slot scratch (the transmission
 // buffers and the Reception it hands to the channel) and drives only the
 // in-place APIs (contentionSignalInto, superposeInto), so once the scratch
@@ -14,6 +18,8 @@
 // allocator.
 #pragma once
 
+#include <array>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -60,6 +66,9 @@ struct RecoveryPolicy {
 
 class SlotEngine {
  public:
+  /// Resolves the per-type slot airtime from `scheme` once, here, so the
+  /// scheme must be fully constructed (and, like every scheme, immutable)
+  /// when the engine is built.
   SlotEngine(const core::DetectionScheme& scheme, phy::Channel& channel,
              Metrics& metrics);
 
@@ -97,11 +106,11 @@ class SlotEngine {
   /// Frame-emission entry for the protocol layer: slot s's responders are
   /// honest.responders[honest.offsets[s] .. honest.offsets[s+1]) followed
   /// by every index in `blockers` — the "bucket + appended blockers" order
-  /// the scalar frame loops feed runSlot. With no blockers the honest CSR
-  /// is forwarded to runSlotsBatch as-is (zero copies); otherwise the
-  /// blocker-appended rows are materialized into engine-owned scratch,
-  /// grown at high-water marks only. Bit-identity with the scalar loop
-  /// carries over from runSlotsBatch.
+  /// FrameBatcher's per-slot reference emitter feeds runSlot. With no
+  /// blockers the honest CSR is forwarded to runSlotsBatch as-is (zero
+  /// copies); otherwise the blocker-appended rows are materialized into
+  /// engine-owned scratch, grown at high-water marks only. Bit-identity
+  /// with the scalar loop carries over from runSlotsBatch.
   void runSlotsBatchBlockers(std::span<tags::Tag> tags, const TagSoA& soa,
                              const SlotBatch& honest,
                              std::span<const std::size_t> blockers,
@@ -117,10 +126,24 @@ class SlotEngine {
 
   void setRecoveryPolicy(const RecoveryPolicy& policy) noexcept {
     recovery_ = policy;
+    verifyMicros_ = scheme_.air().bitsToMicros(policy.verifyBits);
   }
   const RecoveryPolicy& recoveryPolicy() const noexcept { return recovery_; }
 
  private:
+  /// Everything after classification, for runSlot and the packed kernel
+  /// alike: per-type airtime, the ACK-verify exchange, identification or
+  /// misread, the phantom ACK of a misdetected collision, the observer
+  /// event and the slot-index advance. `capturedIndex` indexes `responders`
+  /// (the one reply the reader demodulated cleanly, if any); `corrupted`
+  /// says the channel flipped bits of it in flight. Returns the effective
+  /// slot type (runSlot's return value). Defined in sim/engine_commit.hpp.
+  template <typename Index>
+  phy::SlotType commitSlot(std::span<tags::Tag> tags,
+                           std::span<const Index> responders,
+                           phy::SlotType detected,
+                           std::optional<std::size_t> capturedIndex,
+                           bool corrupted);
   void runSlotsBatchPacked(std::span<tags::Tag> tags, const TagSoA& soa,
                            const SlotBatch& batch, common::Rng& rng,
                            std::span<phy::SlotType> detectedOut) noexcept;
@@ -133,6 +156,10 @@ class SlotEngine {
   Metrics& metrics_;
   SlotObserver* observer_ = nullptr;
   RecoveryPolicy recovery_;
+  /// Airtime of each slot type (indexed by SlotType) and of one verify
+  /// exchange, in microseconds — resolved once, not per slot.
+  std::array<double, 3> slotMicros_{};
+  double verifyMicros_ = 0.0;
   std::uint64_t slotIndex_ = 0;
   /// Per-responder transmission scratch. Grown only at a new high-water
   /// responder count; the element BitVecs are rewritten in place, never

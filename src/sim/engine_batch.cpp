@@ -16,8 +16,8 @@
 //   2. superpose — segmented OR per slot (AVX2 when signals fit one word).
 //   3. classify  — the scheme's batch verdict over all slots at once
 //                  (AVX2 inside QcdPreamble::inspectPacked).
-//   4. commit    — sequential per-slot metrics / identification / observer
-//                  replay. Floating-point airtime is added slot by slot in
+//   4. commit    — SlotEngine::commitSlot per slot, the same routine runSlot
+//                  ends in. Floating-point airtime is added slot by slot in
 //                  the scalar order, keeping the clock bit-identical.
 //
 // Anything the packed contract cannot express — impairment or capture
@@ -31,6 +31,7 @@
 #include "common/require.hpp"
 #include "common/simd.hpp"
 #include "sim/engine.hpp"
+#include "sim/engine_commit.hpp"
 #include "sim/tag_soa.hpp"
 
 #if RFID_SIMD_AVX2_COMPILED
@@ -295,91 +296,16 @@ void SlotEngine::runSlotsBatchPacked(std::span<tags::Tag> tags,
 
   // Phase 4 — commit, sequential and in slot order. The airtime clock is
   // floating point, so the per-slot adds must happen in the scalar order
-  // for the batch to be bit-identical — no bulk accumulate here.
-  const phy::SlotTiming timing = scheme_.timing();
-  const double slotMicros[3] = {
-      scheme_.air().bitsToMicros(timing.idleBits),
-      scheme_.air().bitsToMicros(timing.singleBits),
-      scheme_.air().bitsToMicros(timing.collidedBits)};
-  const double verifyMicros =
-      scheme_.air().bitsToMicros(recovery_.verifyBits);
+  // for the batch to be bit-identical — no bulk accumulate here. A pure-OR
+  // channel captures index 0 iff exactly one tag transmitted and never
+  // corrupts; those are the only facts commitSlot needs from it.
   for (std::size_t s = 0; s < slots; ++s) {
-    const std::uint32_t begin = offsets[s];
-    const std::uint32_t end = offsets[s + 1];
-    const std::size_t respCount = end - begin;
-    const SlotType detected = batchVerdicts_[s];
-    const SlotType trueType = respCount == 0   ? SlotType::kIdle
-                              : respCount == 1 ? SlotType::kSingle
-                                               : SlotType::kCollided;
-    const double slotStart = metrics_.nowMicros();
-    const std::uint64_t identifiedBefore = metrics_.identified();
-    metrics_.recordSlot(trueType, detected,
-                        slotMicros[static_cast<std::size_t>(detected)]);
-
-    SlotType effective = detected;
-    if (detected == SlotType::kSingle) {
-      // Pure-OR contract: the channel captures index 0 iff exactly one tag
-      // transmitted, and never corrupts — the scalar handshake collapses to
-      // the branches below.
-      if (recovery_.ackVerify) {
-        metrics_.chargeVerify(verifyMicros);
-        const bool accepted =
-            respCount == 1 && !tags[batch.responders[begin]].blocker;
-        metrics_.recordVerify(accepted);
-        if (accepted) {
-          const double now = metrics_.nowMicros();
-          tags::Tag& tag = tags[batch.responders[begin]];
-          tag.believesIdentified = true;
-          tag.correctlyIdentified = true;
-          tag.identifiedAtMicros = now;
-          metrics_.recordIdentification(/*correct=*/true, now);
-        } else {
-          effective = SlotType::kCollided;
-        }
-      } else {
-        const double now = metrics_.nowMicros();
-        if (respCount == 1) {
-          tags::Tag& tag = tags[batch.responders[begin]];
-          if (!tag.blocker) {
-            tag.believesIdentified = true;
-            tag.correctlyIdentified = true;
-            tag.identifiedAtMicros = now;
-            metrics_.recordIdentification(/*correct=*/true, now);
-          }
-        } else {
-          // Misdetected collision: the phantom ACK silences every honest
-          // responder.
-          std::uint64_t silenced = 0;
-          for (std::uint32_t k = begin; k < end; ++k) {
-            tags::Tag& tag = tags[batch.responders[k]];
-            if (tag.blocker) continue;
-            tag.believesIdentified = true;
-            tag.correctlyIdentified = false;
-            tag.identifiedAtMicros = now;
-            metrics_.recordIdentification(/*correct=*/false, now);
-            ++silenced;
-          }
-          metrics_.recordPhantom(silenced);
-        }
-      }
-    }
-
-    if (observer_ != nullptr) {
-      // Observers own their allocation budget: whatever bookkeeping a
-      // subscriber does on an event is outside the kernel's zero-alloc
-      // contract.
-      ALLOC_GUARD_ALLOW();
-      SlotEvent event;
-      event.index = slotIndex_;
-      event.trueType = trueType;
-      event.detectedType = detected;
-      event.responders = respCount;
-      event.startMicros = slotStart;
-      event.durationMicros = metrics_.nowMicros() - slotStart;
-      event.identified = metrics_.identified() - identifiedBefore;
-      observer_->onSlot(event);
-    }
-    ++slotIndex_;
+    const std::span<const std::uint32_t> responders =
+        batch.responders.subspan(offsets[s], offsets[s + 1] - offsets[s]);
+    const std::optional<std::size_t> captured =
+        responders.size() == 1 ? std::optional<std::size_t>{0} : std::nullopt;
+    const SlotType effective = commitSlot(tags, responders, batchVerdicts_[s],
+                                          captured, /*corrupted=*/false);
     if (!detectedOut.empty()) {
       detectedOut[s] = effective;
     }

@@ -21,6 +21,7 @@
 #include "service/census.hpp"
 #include "service/inventory_service.hpp"
 #include "sim/metrics.hpp"
+#include "sim/tag_soa.hpp"
 #include "tags/population.hpp"
 
 namespace {
@@ -85,7 +86,7 @@ TEST(RecoveryPolicy, VerifyChargesAirtime) {
 
   Rng popRng(3);
   std::vector<Tag> tagsA =
-      rfid::tags::makeUniformPopulation(1, air.idBits, popRng);
+      rfid::tags::makeUniformPopulation(2, air.idBits, popRng);
   std::vector<Tag> tagsB = tagsA;
   Rng rngA(4), rngB(4);
   const std::vector<std::size_t> responders = {0};
@@ -93,6 +94,22 @@ TEST(RecoveryPolicy, VerifyChargesAirtime) {
   engineB.runSlot(tagsB, responders, rngB);
   EXPECT_DOUBLE_EQ(verified.nowMicros(),
                    plain.nowMicros() + air.bitsToMicros(16.0));
+
+  // A policy changed mid-run charges its new verify cost from the next
+  // slot on, here on the packed batch path.
+  engineB.setRecoveryPolicy({.ackVerify = true, .verifyBits = 40.0});
+  rfid::sim::TagSoA soaA, soaB;
+  soaA.gather(tagsA, scheme);
+  soaB.gather(tagsB, scheme);
+  const std::vector<std::uint32_t> lone = {1};
+  const std::vector<std::uint32_t> offsets = {0, 1};
+  engineA.runSlotsBatch(tagsA, soaA, {lone, offsets}, rngA);
+  engineB.runSlotsBatch(tagsB, soaB, {lone, offsets}, rngB);
+  EXPECT_TRUE(tagsB[1].correctlyIdentified);
+  EXPECT_EQ(verified.verifies(), 2u);
+  EXPECT_DOUBLE_EQ(verified.nowMicros(), plain.nowMicros() +
+                                             air.bitsToMicros(16.0) +
+                                             air.bitsToMicros(40.0));
 }
 
 TEST(RecoveryPolicy, VerifyRejectsCorruptedSingleAndKeepsTagActive) {

@@ -215,6 +215,31 @@ TEST(InventoryService, OverloadIsGraceful) {
   EXPECT_LE(maxQueueWaitMicros, bound);
 }
 
+TEST(InventoryService, MaxQueueDepthNeverExceedsCapacity) {
+  // A worker pops a job some time before it starts the census. A submit
+  // landing in between refills the freed slot, and the depth high-water
+  // mark must still read the queues, not accepted minus started requests.
+  // One-tag censuses keep the worker popping, so that window is hit often.
+  CensusRequest tiny = smallRequest();
+  tiny.tagCount = 1;
+  tiny.frameSize = 1;
+  tiny.rounds = 1;
+  for (int trial = 0; trial < 5; ++trial) {
+    ServiceConfig cfg;
+    cfg.queueCapacity = 1;
+    cfg.seed = 17;
+    InventoryService service(cfg);
+    for (int i = 0; i < 20000; ++i) {
+      // Only the counters matter; a dropped future does not block.
+      (void)service.submit(tiny);
+    }
+    service.close();
+    service.drain();
+    EXPECT_LE(service.counters().maxQueueDepth, cfg.queueCapacity)
+        << "trial " << trial;
+  }
+}
+
 TEST(InventoryService, CloseRejectsNewSubmitsAndDrainCompletes) {
   ServiceConfig cfg;
   cfg.queueCapacity = 8;
