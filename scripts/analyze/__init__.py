@@ -4,8 +4,8 @@ A small static-analysis package that machine-checks the contracts the
 paper's evaluation depends on — determinism of seeded replay, the
 zero-allocation slot hot path, silent library code, pooled threading,
 justified suppressions, stream-seed hygiene, exception-free hot kernels,
-cost-model-only airtime, and the static-marker/runtime-guard agreement
-for `rfid:hot` regions.
+and cost-model-only airtime.  Hot code is what the runtime guard marks:
+a function whose body opens ALLOC_GUARD_HOT().
 
 Modules:
     lexer   -- C++ comment/string stripper producing parallel code and
@@ -13,8 +13,9 @@ Modules:
     rules   -- the one declarative rule table (ids, scopes, allowlists,
                patterns) shared by the linter, --list-rules, and the
                generated DESIGN.md rule table.
-    engine  -- file collection, per-file rule driving, hot-region and
-               function-definition scanners, --diff changed-line filter.
+    engine  -- file collection, per-file rule driving, the function-
+               definition scanner that finds hot functions, --diff
+               changed-line filter.
     sarif   -- SARIF 2.1.0 emission for CI annotation.
     cli     -- the command-line entry point scripts/check_invariants.py
                delegates to.

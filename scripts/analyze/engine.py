@@ -1,8 +1,14 @@
 """Rule driving: file collection, per-file scanning, and --diff filtering.
 
+Hot code is marked by the runtime guard itself: a function whose body
+opens ALLOC_GUARD_HOT() is hot, and RFID-HOT-002 / RFID-EXC-008 scan it
+from its signature to its closing brace.  An ALLOC_GUARD_ALLOW("reason")
+scope is exempt from the allocation patterns from the macro to the close
+of its block, the same span the RFID_ENFORCE_HOT build sanctions.
+
 Violations are Violation namedtuples; `structural` marks findings that
-are properties of the whole file (unbalanced regions, missing coverage,
-marker/guard mismatches) rather than of one changed line — `--diff`
+are properties of the whole file (missing coverage, a guard the scanner
+cannot place in a function) rather than of one changed line — `--diff`
 keeps those whenever the file changed at all.
 """
 
@@ -21,17 +27,19 @@ from .rules import RULES, Rule
 SOURCE_EXTENSIONS = {".cpp", ".cc", ".cxx", ".hpp", ".h", ".hh"}
 DEFAULT_ROOTS = ["src", "bench", "examples", "tests"]
 
-HOT_BEGIN = re.compile(r"rfid:hot\s+begin\b")
-HOT_END = re.compile(r"rfid:hot\s+end\b")
-HOT_ALLOW = re.compile(r"rfid:hot-allow:\s*(\S.*)?$")
 NOEXCEPT_ALLOW = re.compile(r"rfid:noexcept-allow:\s*(\S.*)?$")
 NOLINT_TOKEN = re.compile(r"NOLINT(?:NEXTLINE|BEGIN|END)?")
 NOLINT_JUSTIFIED = re.compile(
     r"NOLINT(?:NEXTLINE|BEGIN)?\([A-Za-z0-9_.,*: -]+\)\s*:\s*\S")
 NOLINT_END_TOKEN = re.compile(r"NOLINTEND\(")
 GUARD_TOKEN = re.compile(r"\bALLOC_GUARD_HOT\b")
+ALLOW_TOKEN = re.compile(r"\bALLOC_GUARD_ALLOW\b")
 THROW_TOKEN = re.compile(r"\b(throw|try|catch)\b")
 NOEXCEPT_TOKEN = re.compile(r"\bnoexcept\b")
+#: A signature ending in `operator` plus symbol characters: the next `=`
+#: belongs to the operator's name (`operator=`, `operator|=`, ...), not
+#: to an initializer.
+OPERATOR_TAIL = re.compile(r"\boperator\s*[^\w\s(]*$")
 
 #: First tokens that open control-flow blocks, never function definitions.
 _CONTROL_KEYWORDS = {
@@ -49,14 +57,10 @@ class Violation(NamedTuple):
     structural: bool = False
 
 
-class HotRegion(NamedTuple):
-    begin: int  # line of the `rfid:hot begin` marker
-    end: int    # line of `rfid:hot end` (or the last line when unclosed)
-
-
 class FuncDef(NamedTuple):
     start: int        # first line of the (multi-line) signature
     brace: int        # line carrying the body-opening `{`
+    end: int          # line carrying the body-closing `}`
     header: str       # accumulated signature text
 
 
@@ -67,48 +71,6 @@ def rule_applies(rule: Rule, relpath: str) -> bool:
         if fnmatch.fnmatch(relpath, pattern):
             return False
     return True
-
-
-def find_hot_regions(
-        relpath: str,
-        comment_lines: list[str]) -> tuple[list[HotRegion], list[Violation]]:
-    """Pair up `rfid:hot begin`/`end` markers; balance problems are
-    RFID-HOT-002 structural violations (an unclosed region still extends
-    to EOF so the downstream scans keep covering it)."""
-    regions: list[HotRegion] = []
-    out: list[Violation] = []
-    in_hot = False
-    open_line = 0
-    for lineno, mline in enumerate(comment_lines, 1):
-        if HOT_BEGIN.search(mline):
-            if in_hot:
-                out.append(Violation(
-                    relpath, lineno, "RFID-HOT-002",
-                    "nested `rfid:hot begin` (previous region opened at "
-                    f"line {open_line})", structural=True))
-            in_hot = True
-            open_line = lineno
-            continue
-        if HOT_END.search(mline):
-            if not in_hot:
-                out.append(Violation(
-                    relpath, lineno, "RFID-HOT-002",
-                    "`rfid:hot end` without a matching begin",
-                    structural=True))
-            else:
-                regions.append(HotRegion(open_line, lineno))
-            in_hot = False
-    if in_hot:
-        out.append(Violation(
-            relpath, open_line, "RFID-HOT-002",
-            "`rfid:hot begin` region never closed "
-            "(missing `// rfid:hot end`)", structural=True))
-        regions.append(HotRegion(open_line, len(comment_lines)))
-    return regions, out
-
-
-def _in_region(regions: list[HotRegion], lineno: int) -> bool:
-    return any(r.begin <= lineno <= r.end for r in regions)
 
 
 def scan_function_definitions(code_lines: list[str]) -> list[FuncDef]:
@@ -150,8 +112,9 @@ def scan_function_definitions(code_lines: list[str]) -> list[FuncDef]:
                 if c == "{":
                     ctx.append("other")
                 elif c == "}":
-                    if ctx:
-                        ctx.pop()
+                    if ctx and ctx.pop() == "function":
+                        # Bodies never nest here: the open one is the last.
+                        defs[-1] = defs[-1]._replace(end=lineno)
                     inside_function = "function" in ctx
                     reset()
                 continue
@@ -165,7 +128,9 @@ def scan_function_definitions(code_lines: list[str]) -> list[FuncDef]:
                     and first not in _TYPE_KEYWORDS
                     and first != "namespace" and header)
                 if is_function:
-                    defs.append(FuncDef(buf_start or lineno, lineno, header))
+                    # `end` stays at EOF if the body never closes.
+                    defs.append(FuncDef(buf_start or lineno, lineno,
+                                        len(code_lines), header))
                     ctx.append("function")
                     inside_function = True
                 else:
@@ -185,7 +150,8 @@ def scan_function_definitions(code_lines: list[str]) -> list[FuncDef]:
                 saw_parens = True
             elif c == ")":
                 parens = max(0, parens - 1)
-            elif c == "=" and parens == 0:
+            elif c == "=" and parens == 0 and \
+                    not OPERATOR_TAIL.search("".join(buf)):
                 top_equals = True
             if not buf:
                 if c.isspace():
@@ -197,22 +163,41 @@ def scan_function_definitions(code_lines: list[str]) -> list[FuncDef]:
     return defs
 
 
-def _hot_allow_lines(comment_lines: list[str], relpath: str,
-                     out: list[Violation]) -> set[int]:
-    """Line numbers exempt from the hot-region allocation patterns: a
-    justified `rfid:hot-allow` covers its own line and the next one."""
-    exempt: set[int] = set()
-    for lineno, mline in enumerate(comment_lines, 1):
-        allow = HOT_ALLOW.search(mline)
-        if not allow:
-            continue
-        if not allow.group(1):
-            out.append(Violation(
-                relpath, lineno, "RFID-HOT-002",
-                "rfid:hot-allow needs a reason: `// rfid:hot-allow: why`"))
-        exempt.add(lineno)
-        exempt.add(lineno + 1)
-    return exempt
+def find_hot_functions(
+        code_lines: list[str]) -> tuple[list[FuncDef], list[int]]:
+    """Return the functions whose body opens ALLOC_GUARD_HOT(), and the
+    lines of any guard outside every recognised function body (hot code
+    the hot-function checks would silently skip).  The macro's own
+    `#define` is not a use."""
+    guards = [lineno for lineno, line in enumerate(code_lines, 1)
+              if GUARD_TOKEN.search(line)
+              and not line.lstrip().startswith("#")]
+    funcs = scan_function_definitions(code_lines)
+    hot = [fn for fn in funcs
+           if any(fn.brace <= g <= fn.end for g in guards)]
+    stray = [g for g in guards
+             if not any(fn.brace <= g <= fn.end for fn in funcs)]
+    return hot, stray
+
+
+def without_allow_scopes(lines: list[str]) -> list[str]:
+    """`lines` with every ALLOC_GUARD_ALLOW scope blanked, from the macro
+    to the `}` that closes its block: the span its RAII object is alive
+    in the RFID_ENFORCE_HOT build."""
+    text = "\n".join(lines)
+    out = list(text)
+    for m in ALLOW_TOKEN.finditer(text):
+        depth = 0
+        for i in range(m.start(), len(text)):
+            if text[i] == "{":
+                depth += 1
+            elif text[i] == "}":
+                depth -= 1
+                if depth < 0:
+                    break
+            if text[i] != "\n":
+                out[i] = " "
+    return "".join(out).split("\n")
 
 
 def lint_file(path: Path, relpath: str) -> list[Violation]:
@@ -233,46 +218,39 @@ def lint_file(path: Path, relpath: str) -> list[Violation]:
                 if rx.search(line):
                     out.append(Violation(relpath, lineno, rule.id, msg))
 
-    hot_rule = next(r for r in RULES if r.kind == "hot-region")
+    hot_rule = next(r for r in RULES if r.kind == "hot")
     exc_rule = next(r for r in RULES if r.kind == "exception")
-    guard_rule = next(r for r in RULES if r.kind == "guard")
-    needs_regions = any(
-        rule_applies(r, relpath) for r in (hot_rule, exc_rule, guard_rule))
-    regions: list[HotRegion] = []
-    if needs_regions:
-        regions, balance = find_hot_regions(relpath, comment_lines)
-        if rule_applies(hot_rule, relpath):
-            out.extend(balance)
+    coverage_rule = next(r for r in RULES if r.kind == "coverage")
+    hot, stray = find_hot_functions(code_lines)
 
-    # RFID-HOT-002: allocation patterns inside regions.
-    if rule_applies(hot_rule, relpath) and regions:
-        exempt = _hot_allow_lines(comment_lines, relpath, out)
-        for region in regions:
-            for lineno in range(region.begin + 1, region.end):
-                if lineno in exempt:
-                    continue
-                cline = code_lines[lineno - 1]
+    # RFID-HOT-002: allocation patterns inside hot functions, and no
+    # guard the scans cannot reach.
+    if rule_applies(hot_rule, relpath):
+        out.extend(Violation(
+            relpath, g, hot_rule.id,
+            "ALLOC_GUARD_HOT() outside any function body the linter "
+            "recognises, so no hot-function check can scan this code",
+            structural=True) for g in stray)
+        for fn in hot:
+            body = without_allow_scopes(code_lines[fn.start - 1:fn.end])
+            for lineno, cline in enumerate(body, fn.start):
                 for rx, msg in hot_rule.patterns:
                     if rx.search(cline):
                         out.append(Violation(relpath, lineno, hot_rule.id,
                                              msg))
 
-    # RFID-EXC-008: throw-free, noexcept hot regions.
-    if rule_applies(exc_rule, relpath) and regions:
-        for region in regions:
-            for lineno in range(region.begin + 1, region.end):
+    # RFID-EXC-008: throw-free, noexcept hot functions.
+    if rule_applies(exc_rule, relpath):
+        for fn in hot:
+            for lineno in range(fn.start, fn.end + 1):
                 m = THROW_TOKEN.search(code_lines[lineno - 1])
                 if m:
                     out.append(Violation(
                         relpath, lineno, exc_rule.id,
-                        f"`{m.group(1)}` inside an rfid:hot region; slot "
-                        "kernels must not carry unwind paths (use "
-                        "RFID_ASSERT, or hoist validation out of the "
-                        "region)"))
-        for fn in scan_function_definitions(code_lines):
-            if not _in_region(regions, fn.start) and \
-                    not _in_region(regions, fn.brace):
-                continue
+                        f"`{m.group(1)}` inside an ALLOC_GUARD_HOT() "
+                        "function; slot kernels must not carry unwind "
+                        "paths (use RFID_ASSERT, or hoist validation out "
+                        "of the hot function)"))
             if NOEXCEPT_TOKEN.search(fn.header):
                 continue
             allowed = False
@@ -290,40 +268,18 @@ def lint_file(path: Path, relpath: str) -> list[Violation]:
                     if "(" in fn.header else fn.header
                 out.append(Violation(
                     relpath, fn.start, exc_rule.id,
-                    f"function `{name}` is defined inside an rfid:hot "
-                    "region but is not noexcept (mark it noexcept, or "
-                    "justify with `// rfid:noexcept-allow: why`)"))
+                    f"function `{name}` opens ALLOC_GUARD_HOT() but is "
+                    "not noexcept (mark it noexcept, or justify with "
+                    "`// rfid:noexcept-allow: why`)"))
 
-    # RFID-GUARD-010: markers and runtime guards agree 1:1.
-    if rule_applies(guard_rule, relpath):
-        guard_lines = [lineno for lineno, line
-                       in enumerate(code_lines, 1)
-                       if GUARD_TOKEN.search(line)]
-        for region in regions:
-            if not any(region.begin < g < region.end for g in guard_lines):
-                out.append(Violation(
-                    relpath, region.begin, guard_rule.id,
-                    "rfid:hot region has no ALLOC_GUARD_HOT() scope; the "
-                    "RFID_ENFORCE_HOT build cannot verify it at runtime",
-                    structural=True))
-        for g in guard_lines:
-            if not _in_region(regions, g):
-                out.append(Violation(
-                    relpath, g, guard_rule.id,
-                    "ALLOC_GUARD_HOT() outside any `rfid:hot` region; the "
-                    "static allocation scan is not covering this guarded "
-                    "code (add the region markers)", structural=True))
-
-    # RFID-HOT-006: kernel files must contain at least one hot region.
-    coverage_rule = next(r for r in RULES if r.kind == "coverage")
+    # RFID-HOT-006: kernel files must define at least one hot function.
     if (relpath in coverage_rule.required_files
-            and rule_applies(coverage_rule, relpath)):
-        if not any(HOT_BEGIN.search(m) for m in comment_lines):
-            out.append(Violation(
-                relpath, 1, coverage_rule.id,
-                "slot-kernel file has no `// rfid:hot begin` region; the "
-                "zero-alloc hot-path check is not covering this kernel",
-                structural=True))
+            and rule_applies(coverage_rule, relpath) and not hot):
+        out.append(Violation(
+            relpath, 1, coverage_rule.id,
+            "slot-kernel file has no function that opens "
+            "ALLOC_GUARD_HOT(); the zero-alloc hot-path check is not "
+            "covering this kernel", structural=True))
 
     # RFID-NOLINT-005: every suppression names a check and a reason.
     nolint_rule = next(r for r in RULES if r.kind == "nolint")

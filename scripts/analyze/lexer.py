@@ -3,9 +3,10 @@ comment line views with identical line numbering.
 
 String and character literals are blanked in the code view (so
 `"time (us)"` never trips a rule); comments are blanked in the code view
-and collected in the comment view (so markers like rfid:hot and NOLINT
-are matched only where a human wrote them).  Handles //, block comments,
-escapes, and raw string literals.
+and collected in the comment view (so markers like rfid:noexcept-allow
+and NOLINT are matched only where a human wrote them).  Handles //,
+block comments, escapes, raw string literals, and C++14 digit
+separators (`50'000` is a number, not the start of a character literal).
 """
 
 from __future__ import annotations
@@ -13,6 +14,9 @@ from __future__ import annotations
 import re
 
 _RAW_OPEN = re.compile(r'R"([^()\\ \t\n]{0,16})\(')
+#: A preprocessing number ([lex.ppnumber]): a `'` inside one is a digit
+#: separator, not the start of a character literal.
+_PP_NUMBER = re.compile(r"[0-9](?:[eEpP][+-]|'[0-9A-Za-z_]|[0-9A-Za-z_.])*")
 
 
 def split_code_and_comments(text: str) -> tuple[list[str], list[str]]:
@@ -61,6 +65,12 @@ def split_code_and_comments(text: str) -> tuple[list[str], list[str]]:
                 state = "string"
                 cur_code.append(" ")
                 i += 1
+                continue
+            if "0" <= c <= "9" and not (
+                    i > 0 and (text[i - 1].isalnum() or text[i - 1] == "_")):
+                number = _PP_NUMBER.match(text, i).group(0)
+                cur_code.append(number)
+                i += len(number)
                 continue
             if c == "'":
                 state = "char"

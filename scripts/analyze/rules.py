@@ -21,13 +21,11 @@ class Rule:
     id: str
     title: str
     summary: str
-    #: Check family: "pattern" (regex over the code view), "hot-region"
-    #: (allocation patterns inside rfid:hot regions), "nolint"
-    #: (suppression justification over the comment view), "coverage"
-    #: (required_files must carry >= 1 hot region), "exception" (no
-    #: throw / non-noexcept definitions inside hot regions), "guard"
-    #: (static rfid:hot markers and runtime ALLOC_GUARD_HOT scopes must
-    #: agree 1:1).
+    #: Check family: "pattern" (regex over the code view), "hot"
+    #: (allocation patterns inside functions that open ALLOC_GUARD_HOT()),
+    #: "nolint" (suppression justification over the comment view),
+    #: "coverage" (required_files must define >= 1 hot function),
+    #: "exception" (hot functions are throw-free and noexcept).
     kind: str
     scope: tuple[str, ...]
     allow: dict[str, str] = field(default_factory=dict)
@@ -63,13 +61,19 @@ RULES: tuple[Rule, ...] = (
     ),
     Rule(
         id="RFID-HOT-002",
-        title="no allocation/growth inside `// rfid:hot` regions",
+        title="no allocation/growth in functions that open "
+              "`ALLOC_GUARD_HOT()`",
         summary=(
-            "Zero-alloc hot paths: no heap allocation or container growth "
-            "inside an `// rfid:hot begin` ... `// rfid:hot end` region.  A "
-            "line may opt out with `// rfid:hot-allow: <reason>` (e.g. "
-            "documented high-water-mark growth)."),
-        kind="hot-region",
+            "Zero-alloc hot paths: a function whose body opens "
+            "ALLOC_GUARD_HOT() is hot, and no heap allocation or container "
+            "growth may appear from its signature to its closing brace.  "
+            "Sanctioned growth (e.g. documented high-water-mark growth) "
+            "sits in an `ALLOC_GUARD_ALLOW(\"<reason>\")` scope, exempt from "
+            "the macro to the close of its block — the span the "
+            "RFID_ENFORCE_HOT build sanctions at runtime.  A guard outside "
+            "any function body the scanner recognises is itself a "
+            "finding."),
+        kind="hot",
         scope=("src/", "bench/", "examples/", "tests/"),
         patterns=(
             (re.compile(r"(?<![\w:])new\b"),
@@ -143,15 +147,16 @@ RULES: tuple[Rule, ...] = (
     ),
     Rule(
         id="RFID-HOT-006",
-        title="slot-kernel files must carry `rfid:hot` coverage",
+        title="slot-kernel files must define an `ALLOC_GUARD_HOT()` "
+              "function",
         summary=(
-            "Hot-region coverage: every slot-kernel file (the scalar "
+            "Hot-path coverage: every slot-kernel file (the scalar "
             "engine, the batch kernel, the packed encode/classify "
-            "primitives, and the frame loops that feed them) must contain "
-            "at least one `// rfid:hot begin` region — otherwise "
-            "RFID-HOT-002 and RFID-EXC-008 have nothing to scan and the "
-            "zero-alloc contract silently stops being checked for that "
-            "kernel."),
+            "primitives, and the frame loops that feed them) must define "
+            "at least one function that opens ALLOC_GUARD_HOT() — "
+            "otherwise RFID-HOT-002 and RFID-EXC-008 have nothing to scan "
+            "and the zero-alloc contract silently stops being checked for "
+            "that kernel."),
         kind="coverage",
         scope=("src/",),
         required_files=(
@@ -201,14 +206,14 @@ RULES: tuple[Rule, ...] = (
     ),
     Rule(
         id="RFID-EXC-008",
-        title="hot regions are exception-free and noexcept",
+        title="hot functions are exception-free and noexcept",
         summary=(
-            "No throw/try/catch inside `rfid:hot` regions, and every "
-            "function defined in one must be declared noexcept — the slot "
-            "kernels (packed encode/classify, batch superpose) must not "
-            "carry unwind paths.  A function whose REQUIREs are "
-            "deliberately throwing (test-pinned precondition contracts) "
-            "opts out with `// rfid:noexcept-allow: <reason>`."),
+            "No throw/try/catch inside a function that opens "
+            "ALLOC_GUARD_HOT(), and every such function must be declared "
+            "noexcept — the slot kernels (packed encode/classify, batch "
+            "superpose) must not carry unwind paths.  A function whose "
+            "REQUIREs are deliberately throwing (test-pinned precondition "
+            "contracts) opts out with `// rfid:noexcept-allow: <reason>`."),
         kind="exception",
         scope=("src/", "bench/", "examples/", "tests/"),
     ),
@@ -236,23 +241,6 @@ RULES: tuple[Rule, ...] = (
              "crc/cost_model (wall-clock belongs in bench/ or "
              "src/service)"),
         ),
-    ),
-    Rule(
-        id="RFID-GUARD-010",
-        title="static `rfid:hot` markers and runtime guards agree 1:1",
-        summary=(
-            "Marker/guard agreement: every `// rfid:hot begin` region must "
-            "contain an ALLOC_GUARD_HOT() scope (so the RFID_ENFORCE_HOT "
-            "build fails the enclosing test on heap activity the static "
-            "patterns missed), and every ALLOC_GUARD_HOT() must sit inside "
-            "a marked region (so the static scan covers everything the "
-            "runtime enforces)."),
-        kind="guard",
-        scope=("src/", "bench/", "examples/", "tests/"),
-        allow={
-            "src/common/alloc_guard.hpp":
-                "defines the ALLOC_GUARD_HOT macro itself",
-        },
     ),
 )
 

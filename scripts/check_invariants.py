@@ -4,12 +4,12 @@ entry point over the scripts/analyze package.
 
 Machine-checks the contracts the paper's evaluation depends on, which
 compilers and sanitizers cannot see: determinism (RFID-DET-001),
-zero-alloc `rfid:hot` regions (RFID-HOT-002), silent library code
-(RFID-IO-003), pooled threading (RFID-THR-004), justified suppressions
-(RFID-NOLINT-005), hot-region coverage (RFID-HOT-006), stream-seed
-hygiene (RFID-SEED-007), exception-free noexcept hot kernels
-(RFID-EXC-008), cost-model-only airtime (RFID-TIME-009), and the
-static-marker/runtime-guard agreement (RFID-GUARD-010).
+zero-alloc hot functions — those whose body opens ALLOC_GUARD_HOT()
+(RFID-HOT-002), silent library code (RFID-IO-003), pooled threading
+(RFID-THR-004), justified suppressions (RFID-NOLINT-005), hot-function
+coverage of the slot kernels (RFID-HOT-006), stream-seed hygiene
+(RFID-SEED-007), exception-free noexcept hot kernels (RFID-EXC-008), and
+cost-model-only airtime (RFID-TIME-009).
 
 Run `--list-rules` for the full table (`--markdown` emits the DESIGN.md
 rule table), `--sarif out.sarif` for CI annotations, and

@@ -19,8 +19,9 @@
 #
 # `sh scripts/ci.sh enforce` builds with -DRFID_ENFORCE_HOT=ON — the
 # replaceable operator new/delete hooks plus armed ALLOC_GUARD_HOT()
-# scopes — runs the full tier-1 suite (any heap allocation inside a
-# guarded rfid:hot region fails the owning test binary at exit), then
+# scopes — runs the full tier-1 suite (any heap allocation inside an
+# ALLOC_GUARD_HOT() scope, outside an ALLOC_GUARD_ALLOW one, fails the
+# owning test binary at exit), then
 # reruns microbench_slot so its zero-steady-state-alloc claim is
 # reproduced by the guard counters themselves.
 #
@@ -60,7 +61,7 @@ if [ "$mode" = "enforce" ]; then
   cmake --build build-enforce -j "$(nproc 2>/dev/null || echo 4)"
   ctest --test-dir build-enforce --output-on-failure \
     -j "$(nproc 2>/dev/null || echo 4)"
-  # Exits nonzero if any guarded hot region allocated; the steady-state
+  # Exits nonzero if any guarded hot scope allocated; the steady-state
   # counts in BENCH_slot.json come from AllocGuard::processAllocations().
   enforcedir=$(mktemp -d)
   trap 'rm -rf "$enforcedir"' EXIT

@@ -5,7 +5,7 @@
 #
 #   1. cmake configure (exports build/compile_commands.json);
 #   2. scripts/check_invariants.py — the project-specific rules (see
-#      `--list-rules` for the ten-rule table); always runs, pure python.
+#      `--list-rules` for the nine-rule table); always runs, pure python.
 #      Findings are also written as SARIF 2.1.0 to build/lint.sarif for
 #      the CI annotation upload;
 #   3. clang-tidy with the checked-in .clang-tidy over every translation
@@ -72,9 +72,10 @@ echo "=== lint: clang-tidy ==="
 if TIDY=$(find_tool clang-tidy); then
   # Translation units only; headers are covered via HeaderFilterRegex.
   # tests/lint_fixtures/ holds deliberate violations for test_lint.py and
-  # is not part of the build, so it is excluded here.
+  # tests/compile_fail/ files that must not compile; neither is part of
+  # the build, so both are excluded here.
   files=$(git ls-files 'src/*.cpp' 'bench/*.cpp' 'examples/*.cpp' \
-                       'tests/*.cpp' | grep -v lint_fixtures)
+                       'tests/*.cpp' | grep -v 'lint_fixtures\|compile_fail')
   # xargs -P parallelizes across cores; clang-tidy exits nonzero on any
   # warning because .clang-tidy sets WarningsAsErrors: '*'.
   if ! printf '%s\n' $files | xargs -P "$(nproc 2>/dev/null || echo 2)" \

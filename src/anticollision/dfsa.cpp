@@ -37,7 +37,6 @@ bool DynamicFsa::runWithSnapshot(sim::SlotEngine& engine,
   return runFrames(engine, tags, rng, &soa);
 }
 
-// rfid:hot begin
 // rfid:noexcept-allow: beginRound and runFrame carry test-pinned REQUIREs
 bool DynamicFsa::runFrames(sim::SlotEngine& engine, std::span<tags::Tag> tags,
                            common::Rng& rng, const sim::TagSoA* soa) {
@@ -89,6 +88,5 @@ bool DynamicFsa::runFrames(sim::SlotEngine& engine, std::span<tags::Tag> tags,
     frameSize = std::clamp(backlog, minFrame_, maxFrame_);
   }
 }
-// rfid:hot end
 
 }  // namespace rfid::anticollision

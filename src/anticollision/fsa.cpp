@@ -29,7 +29,6 @@ bool FramedSlottedAloha::runWithSnapshot(sim::SlotEngine& engine,
   return runFrames(engine, tags, rng, &soa);
 }
 
-// rfid:hot begin
 // rfid:noexcept-allow: beginRound and runFrame carry test-pinned REQUIREs
 bool FramedSlottedAloha::runFrames(sim::SlotEngine& engine,
                                    std::span<tags::Tag> tags,
@@ -62,6 +61,5 @@ bool FramedSlottedAloha::runFrames(sim::SlotEngine& engine,
     }
   }
 }
-// rfid:hot end
 
 }  // namespace rfid::anticollision

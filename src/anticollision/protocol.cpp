@@ -46,7 +46,6 @@ std::span<const std::size_t> FrameBatcher::gatherActive(
   return active_;
 }
 
-// rfid:hot begin
 // rfid:noexcept-allow: the beginRound-ordering and frame-prefix REQUIREs
 // are test-pinned API contracts
 std::span<const phy::SlotType> FrameBatcher::runFrame(
@@ -57,8 +56,7 @@ std::span<const phy::SlotType> FrameBatcher::runFrame(
   RFID_REQUIRE(slotsToRun >= 1 && slotsToRun <= frameSize,
                "frame prefix must be non-empty and within the frame");
   if (detected_.size() < slotsToRun) {
-    ALLOC_GUARD_ALLOW();
-    // rfid:hot-allow: high-water-mark growth; steady state reuses storage
+    ALLOC_GUARD_ALLOW("high-water-mark growth; steady state reuses storage");
     detected_.resize(slotsToRun);
   }
 
@@ -66,8 +64,7 @@ std::span<const phy::SlotType> FrameBatcher::runFrame(
     // The per-slot reference emitter: bucket the draws, then one runSlot
     // per slot with the blockers appended.
     if (buckets_.size() < slotsToRun) {
-      ALLOC_GUARD_ALLOW();
-      // rfid:hot-allow: high-water-mark growth; steady state reuses storage
+      ALLOC_GUARD_ALLOW("high-water-mark growth; steady state reuses storage");
       buckets_.resize(slotsToRun);
     }
     for (std::size_t s = 0; s < slotsToRun; ++s) {
@@ -77,13 +74,11 @@ std::span<const phy::SlotType> FrameBatcher::runFrame(
       const auto slot = static_cast<std::uint32_t>(rng.below(frameSize));
       if (slot < slotsToRun) {
         tags[idx].slotChoice = slot;
-        // rfid:hot-allow: amortized bucket growth, reused across frames
         common::pushBackAmortized(buckets_[slot], idx);
       }
     }
     for (std::size_t s = 0; s < slotsToRun; ++s) {
       for (const std::size_t b : blockers_) {
-        // rfid:hot-allow: amortized bucket growth, reused across frames
         common::pushBackAmortized(buckets_[s], b);
       }
       detected_[s] = engine.runSlot(tags, buckets_[s], rng);
@@ -93,18 +88,15 @@ std::span<const phy::SlotType> FrameBatcher::runFrame(
 
   const std::size_t nActive = active_.size();
   if (counts_.size() < slotsToRun) {
-    ALLOC_GUARD_ALLOW();
-    // rfid:hot-allow: high-water-mark growth; steady state reuses storage
+    ALLOC_GUARD_ALLOW("high-water-mark growth; steady state reuses storage");
     counts_.resize(slotsToRun);
   }
   if (offsets_.size() < slotsToRun + 1) {
-    ALLOC_GUARD_ALLOW();
-    // rfid:hot-allow: high-water-mark growth; steady state reuses storage
+    ALLOC_GUARD_ALLOW("high-water-mark growth; steady state reuses storage");
     offsets_.resize(slotsToRun + 1);
   }
   if (draws_.size() < nActive) {
-    ALLOC_GUARD_ALLOW();
-    // rfid:hot-allow: high-water-mark growth; steady state reuses storage
+    ALLOC_GUARD_ALLOW("high-water-mark growth; steady state reuses storage");
     draws_.resize(nActive);
   }
 
@@ -129,8 +121,7 @@ std::span<const phy::SlotType> FrameBatcher::runFrame(
   }
   const std::size_t nHonest = offsets_[slotsToRun];
   if (responders_.size() < nHonest) {
-    ALLOC_GUARD_ALLOW();
-    // rfid:hot-allow: high-water-mark growth; steady state reuses storage
+    ALLOC_GUARD_ALLOW("high-water-mark growth; steady state reuses storage");
     responders_.resize(nHonest);
   }
 
@@ -153,6 +144,5 @@ std::span<const phy::SlotType> FrameBatcher::runFrame(
                                {detected_.data(), slotsToRun});
   return {detected_.data(), slotsToRun};
 }
-// rfid:hot end
 
 }  // namespace rfid::anticollision

@@ -1,30 +1,57 @@
-// Runtime enforcement of the zero-allocation hot-path contract.
+// The hot-path annotation, and the runtime half of the zero-allocation
+// contract.
 //
-// The static side of RFID-HOT-002 pattern-matches allocation idioms inside
-// the comment-marked hot regions; this is the runtime side.  Under the
-// RFID_ENFORCE_HOT build (cmake -DRFID_ENFORCE_HOT=ON) the replaceable
-// global operator new/delete (src/common/alloc_guard_hooks.cpp) routes
-// every heap allocation through thread-local counters, and an
-// ALLOC_GUARD_HOT() scope at the entry of each marked hot region turns any
-// allocation inside it into a recorded violation: a diagnostic on stderr,
-// a nonzero process-wide violation count the integration tests assert on,
-// and a nonzero exit of the whole test binary (the static exit check in
-// the hooks TU) even when every gtest assertion passed.
+// A function whose body opens ALLOC_GUARD_HOT() is hot.  That one macro is
+// the only hot-path annotation: the static linter (scripts/analyze) scans
+// every such function, from its signature to its closing brace, for
+// allocation idioms (RFID-HOT-002) and unwind paths (RFID-EXC-008), and
+// under the RFID_ENFORCE_HOT build (cmake -DRFID_ENFORCE_HOT=ON) the
+// replaceable global operator new/delete (src/common/alloc_guard_hooks.cpp)
+// routes every heap allocation through thread-local counters, so any
+// allocation inside the guard's scope becomes a recorded violation: a
+// diagnostic on stderr, a nonzero process-wide violation count the
+// integration tests assert on, and a nonzero exit of the whole test binary
+// (the static exit check in the hooks TU) even when every gtest assertion
+// passed.
 //
-// Sanctioned allocations — documented high-water-mark growth at
-// `rfid:hot-allow` sites — open an ALLOC_GUARD_ALLOW() scope around
-// exactly the growing call, so steady-state behaviour stays enforced.
-// RFID-GUARD-010 (scripts/analyze) diffs the static markers against these
-// runtime guards: a marked region without a guard, or a guard outside a
-// marked region, fails the lint gate.
+// Sanctioned allocations — documented high-water-mark growth — open an
+// ALLOC_GUARD_ALLOW("reason") scope around exactly the growing call, so
+// steady-state behaviour stays enforced.  The reason must be a non-empty
+// string literal (a static_assert in every build), and the linter exempts
+// the span the runtime sanctions: from the macro to the close of its block.
 //
-// In default builds both macros compile to `(void)0` and the hooks TU is
-// not linked: the hot path carries zero overhead.
+// In default builds ALLOC_GUARD_HOT() compiles to `(void)0`,
+// ALLOC_GUARD_ALLOW to a static_assert, and the hooks TU is not linked: the
+// hot path carries zero overhead.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <utility>
+
+#define RFID_ALLOC_GUARD_CONCAT2(a, b) a##b
+#define RFID_ALLOC_GUARD_CONCAT(a, b) RFID_ALLOC_GUARD_CONCAT2(a, b)
+
+// `"" reason` compiles only when `reason` is a string literal; the size
+// check rejects the empty one.
+#define RFID_ALLOC_GUARD_REASON(reason) \
+  static_assert(sizeof("" reason) > 1,  \
+                "ALLOC_GUARD_ALLOW needs a reason: ALLOC_GUARD_ALLOW(\"why\")")
+
+#ifdef RFID_ENFORCE_HOT
+#define ALLOC_GUARD_HOT()                                  \
+  [[maybe_unused]] const ::rfid::common::AllocGuard        \
+  RFID_ALLOC_GUARD_CONCAT(rfidAllocGuard_, __LINE__) {     \
+    __func__                                               \
+  }
+#define ALLOC_GUARD_ALLOW(reason)                          \
+  RFID_ALLOC_GUARD_REASON(reason);                         \
+  [[maybe_unused]] const ::rfid::common::AllocGuardAllow   \
+  RFID_ALLOC_GUARD_CONCAT(rfidAllocAllow_, __LINE__) {}
+#else
+#define ALLOC_GUARD_HOT() static_cast<void>(0)
+#define ALLOC_GUARD_ALLOW(reason) RFID_ALLOC_GUARD_REASON(reason)
+#endif
 
 namespace rfid::common {
 
@@ -94,8 +121,7 @@ class AllocGuard {
 };
 
 /// RAII escape hatch: heap activity inside this scope is sanctioned
-/// (documented high-water-mark growth).  Pairs with a static
-/// `// rfid:hot-allow: <reason>` comment at the same site.
+/// (documented high-water-mark growth).  Opened by ALLOC_GUARD_ALLOW.
 class AllocGuardAllow {
  public:
   AllocGuardAllow() noexcept;
@@ -111,9 +137,7 @@ class AllocGuardAllow {
 template <typename Vec, typename Value>
 inline void pushBackAmortized(Vec& vec, Value&& value) {
   if (vec.size() == vec.capacity()) {
-#ifdef RFID_ENFORCE_HOT
-    const AllocGuardAllow rfidAllocAllowAmortized{};
-#endif
+    ALLOC_GUARD_ALLOW("amortized growth: only a full vector reallocates");
     vec.push_back(std::forward<Value>(value));
   } else {
     vec.push_back(std::forward<Value>(value));
@@ -121,20 +145,3 @@ inline void pushBackAmortized(Vec& vec, Value&& value) {
 }
 
 }  // namespace rfid::common
-
-#define RFID_ALLOC_GUARD_CONCAT2(a, b) a##b
-#define RFID_ALLOC_GUARD_CONCAT(a, b) RFID_ALLOC_GUARD_CONCAT2(a, b)
-
-#ifdef RFID_ENFORCE_HOT
-#define ALLOC_GUARD_HOT()                                  \
-  [[maybe_unused]] const ::rfid::common::AllocGuard        \
-  RFID_ALLOC_GUARD_CONCAT(rfidAllocGuard_, __LINE__) {     \
-    __func__                                               \
-  }
-#define ALLOC_GUARD_ALLOW()                                \
-  [[maybe_unused]] const ::rfid::common::AllocGuardAllow   \
-  RFID_ALLOC_GUARD_CONCAT(rfidAllocAllow_, __LINE__) {}
-#else
-#define ALLOC_GUARD_HOT() static_cast<void>(0)
-#define ALLOC_GUARD_ALLOW() static_cast<void>(0)
-#endif

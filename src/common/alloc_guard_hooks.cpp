@@ -4,9 +4,10 @@
 // src/common/CMakeLists.txt), so default builds keep the system allocator
 // untouched.  Every allocation funnels through
 // alloc_guard_detail::recordAlloc, which turns heap activity inside an
-// ALLOC_GUARD_HOT() scope into a recorded violation; the ExitCheck static
-// below then fails the whole process at exit so no guarded test binary can
-// report green with a dirty hot path.
+// ALLOC_GUARD_HOT() scope (with no ALLOC_GUARD_ALLOW scope open) into a
+// recorded violation; the ExitCheck static below then fails the whole
+// process at exit so no guarded test binary can report green with a dirty
+// hot path.
 //
 // bench/microbench_slot.cpp replaces operator new itself to count
 // steady-state allocations; under RFID_ENFORCE_HOT it compiles its
@@ -40,7 +41,7 @@ void* allocateAligned(std::size_t n, std::size_t alignment) noexcept {
 }
 
 // At process exit, a nonzero violation count must not pass silently: gtest
-// may have reported every assertion green while a guarded hot region
+// may have reported every assertion green while a guarded hot function
 // allocated.  _Exit skips further static destruction; the diagnostic has
 // already been written.
 struct ExitCheck {
@@ -50,7 +51,7 @@ struct ExitCheck {
     if (violations != 0) {
       std::fprintf(stderr,
                    "AllocGuard: FAIL — %llu heap allocation(s) inside "
-                   "guarded rfid:hot scopes (RFID_ENFORCE_HOT)\n",
+                   "ALLOC_GUARD_HOT() scopes (RFID_ENFORCE_HOT)\n",
                    static_cast<unsigned long long>(violations));
       std::_Exit(1);
     }

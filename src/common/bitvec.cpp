@@ -262,10 +262,9 @@ std::size_t BitVec::hash() const noexcept {
 
 void BitVec::resizeWords(std::size_t nWords) {
   if (nWords > words_.capacity()) {
-    // High-water growth: every in-place assign* / *Into API funnels its
-    // word-storage sizing through here, so reuse within capacity is
-    // guard-clean and only genuine growth is sanctioned.
-    ALLOC_GUARD_ALLOW();
+    // Every in-place assign* / *Into API funnels its word-storage sizing
+    // through here, so reuse within capacity stays guard-clean.
+    ALLOC_GUARD_ALLOW("high-water-mark growth; steady state reuses storage");
     words_.resize(nWords);
   } else {
     words_.resize(nWords);

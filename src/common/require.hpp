@@ -20,10 +20,8 @@ class PreconditionError : public std::invalid_argument {
 };
 
 [[noreturn]] inline void throwPrecondition(const char* cond, const char* what) {
-  // Failure path: building the diagnostic (and the exception object)
-  // allocates by design — the contract is already broken by the time we
-  // get here, so the zero-alloc guard stands down.
-  ALLOC_GUARD_ALLOW();
+  // Building the diagnostic (and the exception object) allocates by design.
+  ALLOC_GUARD_ALLOW("failure path: the contract is already broken here");
   throw PreconditionError(std::string("precondition violated: ") + cond +
                           " — " + what);
 }

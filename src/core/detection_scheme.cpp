@@ -17,9 +17,10 @@ BitVec DetectionScheme::idFromContention(const BitVec& /*signal*/) const {
 void DetectionScheme::contentionSignalInto(const tags::Tag& tag,
                                            common::Rng& tagRng,
                                            BitVec& out) const {
-  // Fallback for custom schemes without an in-place override: allocating by
-  // contract (the allocation-free guarantee only covers built-in schemes).
-  ALLOC_GUARD_ALLOW();
+  // Fallback for custom schemes without an in-place override.
+  ALLOC_GUARD_ALLOW(
+      "allocating by contract: the allocation-free guarantee only covers "
+      "built-in schemes");
   out = contentionSignal(tag, tagRng);
 }
 
@@ -46,7 +47,6 @@ void DetectionScheme::packedDraw(common::Rng& /*tagRng*/,
                             "this scheme has no per-slot packed draw");
 }
 
-// rfid:hot begin
 // rfid:noexcept-allow: loops over the virtual packedDraw, whose base
 // implementation throws for schemes without per-slot packed support
 void DetectionScheme::packedDrawRun(common::Rng& tagRng, std::size_t n,
@@ -57,7 +57,6 @@ void DetectionScheme::packedDrawRun(common::Rng& tagRng, std::size_t n,
     packedDraw(tagRng, out + i * stride);
   }
 }
-// rfid:hot end
 
 void DetectionScheme::classifyPacked(const std::uint64_t* /*superposed*/,
                                      const std::uint32_t* /*slotOffsets*/,
@@ -69,7 +68,6 @@ void DetectionScheme::classifyPacked(const std::uint64_t* /*superposed*/,
 
 namespace {
 
-// rfid:hot begin
 /// Bits [pos, pos + width) of a packed word array as an integer (width ≤ 64).
 std::uint64_t extractBits(const std::uint64_t* words, std::size_t pos,
                           unsigned width) noexcept {
@@ -93,7 +91,6 @@ bool allWordsZero(const std::uint64_t* words, std::size_t count) noexcept {
   }
   return acc == 0;
 }
-// rfid:hot end
 
 }  // namespace
 
@@ -123,7 +120,6 @@ BitVec CrcCdScheme::contentionSignal(const tags::Tag& tag,
   return out;
 }
 
-// rfid:hot begin
 // rfid:noexcept-allow: the ID-length REQUIRE is a test-pinned public contract
 void CrcCdScheme::contentionSignalInto(const tags::Tag& tag,
                                        common::Rng& /*tagRng*/,
@@ -137,7 +133,6 @@ void CrcCdScheme::contentionSignalInto(const tags::Tag& tag,
   tag.id.sliceInto(0, tag.id.size(), out);
   out.appendUint(engine_.computeBits(tag.id), engine_.spec().width);
 }
-// rfid:hot end
 
 SlotType CrcCdScheme::classify(const std::optional<BitVec>& signal,
                                std::size_t /*trueResponders*/) const {
@@ -154,7 +149,6 @@ SlotType CrcCdScheme::classify(const std::optional<BitVec>& signal,
                                           : SlotType::kCollided;
 }
 
-// rfid:hot begin
 void CrcCdScheme::classifyPacked(const std::uint64_t* superposed,
                                  const std::uint32_t* slotOffsets,
                                  std::size_t count, SlotType* out) const
@@ -177,7 +171,6 @@ void CrcCdScheme::classifyPacked(const std::uint64_t* superposed,
     out[i] = crc == code ? SlotType::kSingle : SlotType::kCollided;
   }
 }
-// rfid:hot end
 
 BitVec CrcCdScheme::idFromContention(const BitVec& signal) const {
   RFID_REQUIRE(signal.size() == contentionBits(),
@@ -211,7 +204,6 @@ BitVec QcdScheme::contentionSignal(const tags::Tag& tag,
   return out;
 }
 
-// rfid:hot begin
 // rfid:noexcept-allow: encodeInto carries the r-range REQUIRE
 void QcdScheme::contentionSignalInto(const tags::Tag& /*tag*/,
                                      common::Rng& tagRng, BitVec& out) const {
@@ -230,9 +222,7 @@ SlotType QcdScheme::classify(const std::optional<BitVec>& signal,
              ? SlotType::kSingle
              : SlotType::kCollided;
 }
-// rfid:hot end
 
-// rfid:hot begin
 void QcdScheme::packedDraw(common::Rng& tagRng,
                            std::uint64_t* out) const noexcept {
   ALLOC_GUARD_HOT();
@@ -254,7 +244,6 @@ void QcdScheme::classifyPacked(const std::uint64_t* superposed,
   ALLOC_GUARD_HOT();
   preamble_.inspectPacked(superposed, slotOffsets, count, out);
 }
-// rfid:hot end
 
 SlotTiming QcdScheme::timing() const {
   const double prm = static_cast<double>(preamble_.bits());
@@ -292,7 +281,6 @@ BitVec CrcPreambleScheme::contentionSignal(const tags::Tag& tag,
   return out;
 }
 
-// rfid:hot begin
 // rfid:noexcept-allow: BitVec's word accessors carry range REQUIREs
 void CrcPreambleScheme::contentionSignalInto(const tags::Tag& /*tag*/,
                                              common::Rng& tagRng,
@@ -302,7 +290,6 @@ void CrcPreambleScheme::contentionSignalInto(const tags::Tag& /*tag*/,
   out.assignUint(tagRng.between(1, maxR_), randomBits_);
   out.appendUint(engine_.computeBits(out), engine_.spec().width);
 }
-// rfid:hot end
 
 SlotType CrcPreambleScheme::classify(const std::optional<BitVec>& signal,
                                      std::size_t /*trueResponders*/) const {
@@ -335,7 +322,6 @@ BitVec IdealScheme::contentionSignal(const tags::Tag& tag,
   return tag.id;
 }
 
-// rfid:hot begin
 // rfid:noexcept-allow: sliceInto validates the slice range
 void IdealScheme::contentionSignalInto(const tags::Tag& tag,
                                        common::Rng& /*tagRng*/,
@@ -344,7 +330,6 @@ void IdealScheme::contentionSignalInto(const tags::Tag& tag,
   // In-place copy (see CrcCdScheme::contentionSignalInto).
   tag.id.sliceInto(0, tag.id.size(), out);
 }
-// rfid:hot end
 
 SlotType IdealScheme::classify(const std::optional<BitVec>& /*signal*/,
                                std::size_t trueResponders) const {
@@ -356,7 +341,6 @@ BitVec IdealScheme::idFromContention(const BitVec& signal) const {
   return signal;
 }
 
-// rfid:hot begin
 void IdealScheme::classifyPacked(const std::uint64_t* /*superposed*/,
                                  const std::uint32_t* slotOffsets,
                                  std::size_t count, SlotType* out) const
@@ -369,7 +353,6 @@ void IdealScheme::classifyPacked(const std::uint64_t* /*superposed*/,
                     : (n == 1 ? SlotType::kSingle : SlotType::kCollided);
   }
 }
-// rfid:hot end
 
 SlotTiming IdealScheme::timing() const {
   return SlotTiming{/*idle=*/0.0,

@@ -32,7 +32,6 @@ BitVec QcdPreamble::encode(std::uint64_t r) const {
   return out;
 }
 
-// rfid:hot begin
 // rfid:noexcept-allow: the r-range REQUIRE is a test-pinned public contract
 void QcdPreamble::encodeInto(std::uint64_t r, BitVec& out) const {
   ALLOC_GUARD_HOT();
@@ -42,9 +41,7 @@ void QcdPreamble::encodeInto(std::uint64_t r, BitVec& out) const {
   out.assignUint(r, strength_);
   out.appendUint(r ^ maxR_, strength_);
 }
-// rfid:hot end
 
-// rfid:hot begin
 // rfid:noexcept-allow: the length REQUIRE is a test-pinned public contract
 QcdPreamble::Verdict QcdPreamble::inspect(const BitVec& superposed) const {
   ALLOC_GUARD_HOT();
@@ -67,9 +64,7 @@ QcdPreamble::Verdict QcdPreamble::inspect(const BitVec& superposed) const {
   }
   return cp == (rp ^ maxR_) ? Verdict::kSingle : Verdict::kCollided;
 }
-// rfid:hot end
 
-// rfid:hot begin
 // rfid:noexcept-allow: validates the public r-range contract; packed
 // callers pass draw() results that satisfy it by construction
 void QcdPreamble::encodeWords(std::uint64_t r, std::uint64_t* out) const {
@@ -88,11 +83,9 @@ void QcdPreamble::encodeWords(std::uint64_t r, std::uint64_t* out) const {
     out[1] = check >> (64u - strength_);
   }
 }
-// rfid:hot end
 
 namespace {
 
-// rfid:hot begin
 /// drawEncodeRun body for a compile-time strength with 2l ≤ 64: the draw
 /// bound is a constant, so the compiler replaces Rng::below's hardware
 /// divide (the dominant cost of a draw) with a magic-number multiply. The
@@ -108,11 +101,9 @@ void drawEncodeRunFixed(rfid::common::Rng& rng, std::size_t n,
     out[i] = r | ((r ^ kMax) << kStrength);
   }
 }
-// rfid:hot end
 
 }  // namespace
 
-// rfid:hot begin
 void QcdPreamble::drawEncodeRun(common::Rng& rng, std::size_t n,
                                 std::uint64_t* out) const noexcept {
   ALLOC_GUARD_HOT();
@@ -153,12 +144,10 @@ void QcdPreamble::drawEncodeRun(common::Rng& rng, std::size_t n,
     }
   }
 }
-// rfid:hot end
 
 namespace {
 
 #if RFID_SIMD_AVX2_COMPILED
-// rfid:hot begin
 // Four single-word preambles per iteration: extract r′ and c′ with lane-wise
 // shifts/masks, test c′ == r′ ^ maxR, then blend in kIdle for zero-responder
 // lanes (responder counts come straight from adjacent CSR offsets).
@@ -206,12 +195,10 @@ __attribute__((target("avx2"))) void inspectPackedAvx2(
                                : phy::SlotType::kCollided;
   }
 }
-// rfid:hot end
 #endif  // RFID_SIMD_AVX2_COMPILED
 
 }  // namespace
 
-// rfid:hot begin
 void QcdPreamble::inspectPacked(const std::uint64_t* superposed,
                                 const std::uint32_t* slotOffsets,
                                 std::size_t count, phy::SlotType* out) const
@@ -256,7 +243,6 @@ void QcdPreamble::inspectPacked(const std::uint64_t* superposed,
                                 : phy::SlotType::kCollided;
   }
 }
-// rfid:hot end
 
 double QcdPreamble::evasionProbability(unsigned strength, std::size_t m) {
   RFID_REQUIRE(strength >= 1 && strength <= 64,

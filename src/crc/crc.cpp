@@ -170,7 +170,6 @@ std::uint64_t CrcEngine::computeBits(const BitVec& bits,
   return finalize(reg);
 }
 
-// rfid:hot begin
 std::uint64_t CrcEngine::computeWords(const std::uint64_t* words,
                                       std::size_t nbits) const noexcept {
   ALLOC_GUARD_HOT();
@@ -187,7 +186,6 @@ std::uint64_t CrcEngine::computeWords(const std::uint64_t* words,
   }
   return finalize(reg);
 }
-// rfid:hot end
 
 BitVec CrcEngine::codeFor(const BitVec& payload) const {
   return BitVec::fromUint(computeBits(payload), spec_.width);

@@ -9,7 +9,6 @@ using common::BitVec;
 
 namespace {
 
-// rfid:hot begin
 /// Engages out.signal (keeping any existing word storage) and returns it.
 BitVec& signalScratch(Reception& out) noexcept {
   ALLOC_GUARD_HOT();
@@ -24,6 +23,7 @@ BitVec& signalScratch(Reception& out) noexcept {
 /// the first slot of a larger signal).
 // rfid:noexcept-allow: sliceInto validates the slice range
 void copyIntoScratch(const BitVec& src, Reception& out) {
+  ALLOC_GUARD_HOT();
   src.sliceInto(0, src.size(), signalScratch(out));
 }
 
@@ -38,7 +38,6 @@ void orAllInto(std::span<const BitVec> transmissions, Reception& out) {
     sum |= transmissions[i];
   }
 }
-// rfid:hot end
 
 }  // namespace
 
@@ -51,7 +50,6 @@ Reception Channel::superpose(std::span<const BitVec> transmissions,
   return r;
 }
 
-// rfid:hot begin
 // rfid:noexcept-allow: orAllInto carries the equal-length REQUIRE
 void OrChannel::superposeInto(std::span<const BitVec> transmissions,
                               common::Rng& /*rng*/, Reception& out) {
@@ -68,7 +66,6 @@ void OrChannel::superposeInto(std::span<const BitVec> transmissions,
     out.capturedIndex = 0;
   }
 }
-// rfid:hot end
 
 CaptureChannel::CaptureChannel(double captureProbability)
     : p_(captureProbability) {
@@ -76,7 +73,6 @@ CaptureChannel::CaptureChannel(double captureProbability)
                "capture probability must be in [0, 1]");
 }
 
-// rfid:hot begin
 // rfid:noexcept-allow: orAllInto carries the equal-length REQUIRE
 void CaptureChannel::superposeInto(std::span<const BitVec> transmissions,
                                    common::Rng& rng, Reception& out) {
@@ -101,6 +97,5 @@ void CaptureChannel::superposeInto(std::span<const BitVec> transmissions,
   }
   orAllInto(transmissions, out);
 }
-// rfid:hot end
 
 }  // namespace rfid::phy

@@ -15,7 +15,6 @@ BscImpairment::BscImpairment(double tagToReaderBer, double detectionBer)
 
 std::string BscImpairment::name() const { return "bsc"; }
 
-// rfid:hot begin
 bool BscImpairment::transmissionPass(std::uint64_t /*slotIndex*/,
                                      std::size_t /*txIndex*/,
                                      common::BitVec& tx,
@@ -33,6 +32,5 @@ void BscImpairment::receptionPass(std::uint64_t /*slotIndex*/,
   ALLOC_GUARD_HOT();
   stats.bitsFlippedDetection += flipBitsIid(signal, detectionBer_, slotRng);
 }
-// rfid:hot end
 
 }  // namespace rfid::phy

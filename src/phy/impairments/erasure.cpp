@@ -15,7 +15,6 @@ ErasureImpairment::ErasureImpairment(double transmissionLoss, double slotFade)
 
 std::string ErasureImpairment::name() const { return "erasure"; }
 
-// rfid:hot begin
 bool ErasureImpairment::erasesSlot(std::uint64_t /*slotIndex*/,
                                    common::Rng& slotRng,
                                    ImpairmentStats& /*stats*/) noexcept {
@@ -33,6 +32,5 @@ bool ErasureImpairment::transmissionPass(std::uint64_t /*slotIndex*/,
   if (transmissionLoss_ <= 0.0) return true;
   return !slotRng.chance(transmissionLoss_);
 }
-// rfid:hot end
 
 }  // namespace rfid::phy

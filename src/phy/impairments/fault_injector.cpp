@@ -45,7 +45,6 @@ FaultInjector::FaultInjector(std::vector<Fault> faults)
 
 std::string FaultInjector::name() const { return "fault-injector"; }
 
-// rfid:hot begin
 void FaultInjector::slotRange(std::uint64_t slotIndex, std::size_t& first,
                               std::size_t& last) noexcept {
   ALLOC_GUARD_HOT();
@@ -116,6 +115,5 @@ void FaultInjector::receptionPass(std::uint64_t slotIndex,
     }
   }
 }
-// rfid:hot end
 
 }  // namespace rfid::phy

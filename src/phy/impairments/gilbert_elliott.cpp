@@ -25,7 +25,6 @@ GilbertElliottImpairment::GilbertElliottImpairment(double goodToBad,
 
 std::string GilbertElliottImpairment::name() const { return "ge"; }
 
-// rfid:hot begin
 bool GilbertElliottImpairment::transmissionPass(std::uint64_t /*slotIndex*/,
                                                 std::size_t /*txIndex*/,
                                                 common::BitVec& tx,
@@ -49,6 +48,5 @@ bool GilbertElliottImpairment::transmissionPass(std::uint64_t /*slotIndex*/,
   }
   return true;
 }
-// rfid:hot end
 
 }  // namespace rfid::phy

@@ -31,7 +31,6 @@ void ImpairedChannel::beginSlot(std::uint64_t slotIndex) {
   inner_.beginSlot(slotIndex);
 }
 
-// rfid:hot begin
 // rfid:noexcept-allow: the inner channel's superposeInto carries the
 // test-pinned equal-length REQUIRE
 void ImpairedChannel::superposeInto(std::span<const BitVec> transmissions,
@@ -71,12 +70,9 @@ void ImpairedChannel::superposeInto(std::span<const BitVec> transmissions,
   // Tag→reader leg: copy each transmission into owned scratch (the
   // caller's span is const), flip/drop it, and compact the survivors.
   if (txScratch_.size() < transmissions.size()) {
-    ALLOC_GUARD_ALLOW();
-    // rfid:hot-allow: high-water-mark growth; steady state reuses storage
+    ALLOC_GUARD_ALLOW("high-water-mark growth; steady state reuses storage");
     txScratch_.resize(transmissions.size());
-    // rfid:hot-allow: high-water-mark growth; steady state reuses storage
     liveIndex_.resize(transmissions.size());
-    // rfid:hot-allow: high-water-mark growth; steady state reuses storage
     txFlips_.resize(transmissions.size());
   }
   std::size_t live = 0;
@@ -135,6 +131,5 @@ void ImpairedChannel::superposeInto(std::span<const BitVec> transmissions,
   out.erased = false;
   out.corrupted = capturedCorrupted || rxFlips > 0;
 }
-// rfid:hot end
 
 }  // namespace rfid::phy

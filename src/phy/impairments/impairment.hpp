@@ -89,7 +89,6 @@ class Impairment {
                              common::Rng& slotRng, ImpairmentStats& stats);
 };
 
-// rfid:hot begin
 /// Flips each bit of `v` independently with probability `p`; returns the
 /// number of flips. The p <= 0 early-out draws nothing, so a zero-rate
 /// model consumes no randomness (the BER-0 bit-identity guarantee).
@@ -107,7 +106,6 @@ inline std::uint64_t flipBitsIid(common::BitVec& v, double p,
   }
   return flips;
 }
-// rfid:hot end
 
 /// Which stochastic model an ImpairmentConfig selects.
 enum class ImpairmentModel : std::uint8_t {

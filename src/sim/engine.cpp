@@ -20,7 +20,6 @@ SlotEngine::SlotEngine(const core::DetectionScheme& scheme,
   setRecoveryPolicy(recovery_);  // the default policy's verify airtime
 }
 
-// rfid:hot begin
 // rfid:noexcept-allow: the responder-index REQUIRE throws PreconditionError
 // (a test-pinned API contract)
 SlotType SlotEngine::runSlot(std::span<tags::Tag> tags,
@@ -34,8 +33,7 @@ SlotType SlotEngine::runSlot(std::span<tags::Tag> tags,
   // Grow the scratch only at a new high-water mark; existing elements keep
   // their word storage and are overwritten in place.
   if (txScratch_.size() < responders.size()) {
-    ALLOC_GUARD_ALLOW();
-    // rfid:hot-allow: high-water-mark growth; steady state reuses storage
+    ALLOC_GUARD_ALLOW("high-water-mark growth; steady state reuses storage");
     txScratch_.resize(responders.size());
   }
   std::size_t txCount = 0;
@@ -76,6 +74,5 @@ SlotType SlotEngine::runSlot(std::span<tags::Tag> tags,
   return commitSlot(tags, responders, detected, rxScratch_.capturedIndex,
                     rxScratch_.corrupted);
 }
-// rfid:hot end
 
 }  // namespace rfid::sim

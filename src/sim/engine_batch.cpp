@@ -44,7 +44,6 @@ using phy::SlotType;
 
 namespace {
 
-// rfid:hot begin
 /// Phase 2, portable: acc[s] = OR of the packed rows of slot s's responders.
 void orSegmentsPortable(const std::uint64_t* tx, const std::uint32_t* offsets,
                         std::size_t slotCount, std::size_t wordsPer,
@@ -104,7 +103,6 @@ __attribute__((target("avx2"))) void orSegmentsAvx2(
   }
 }
 #endif  // RFID_SIMD_AVX2_COMPILED
-// rfid:hot end
 
 }  // namespace
 
@@ -126,7 +124,7 @@ void SlotEngine::runSlotsBatch(std::span<tags::Tag> tags, const TagSoA& soa,
   }
   RFID_REQUIRE(soa.size() == tags.size(),
                "SoA snapshot does not match the tag population");
-  // All throwing validation lives here, outside the hot regions: once a
+  // All throwing validation lives here, outside the hot functions: once a
   // batch passes, the kernels below run noexcept on pre-checked indices.
   for (const std::uint32_t idx : batch.responders) {
     RFID_REQUIRE(idx < tags.size(), "responder index out of range");
@@ -145,7 +143,6 @@ void SlotEngine::runSlotsBatch(std::span<tags::Tag> tags, const TagSoA& soa,
   runSlotsBatchPacked(tags, soa, batch, rng, detectedOut);
 }
 
-// rfid:hot begin
 // rfid:noexcept-allow: forwards to runSlotsBatch (the throwing validation
 // boundary) and carries the test-pinned 32-bit CSR overflow REQUIRE
 void SlotEngine::runSlotsBatchBlockers(std::span<tags::Tag> tags,
@@ -166,13 +163,11 @@ void SlotEngine::runSlotsBatchBlockers(std::span<tags::Tag> tags,
   RFID_REQUIRE(total <= std::numeric_limits<std::uint32_t>::max(),
                "blocker-appended batch exceeds 32-bit CSR indexing");
   if (batchRowResponders_.size() < total) {
-    ALLOC_GUARD_ALLOW();
-    // rfid:hot-allow: high-water-mark growth; steady state reuses storage
+    ALLOC_GUARD_ALLOW("high-water-mark growth; steady state reuses storage");
     batchRowResponders_.resize(total);
   }
   if (batchRowOffsets_.size() < slots + 1) {
-    ALLOC_GUARD_ALLOW();
-    // rfid:hot-allow: high-water-mark growth; steady state reuses storage
+    ALLOC_GUARD_ALLOW("high-water-mark growth; steady state reuses storage");
     batchRowOffsets_.resize(slots + 1);
   }
   std::size_t w = 0;
@@ -192,9 +187,7 @@ void SlotEngine::runSlotsBatchBlockers(std::span<tags::Tag> tags,
                  {batchRowOffsets_.data(), slots + 1}},
                 rng, detectedOut);
 }
-// rfid:hot end
 
-// rfid:hot begin
 void SlotEngine::runSlotsBatchPacked(std::span<tags::Tag> tags,
                                      const TagSoA& soa, const SlotBatch& batch,
                                      common::Rng& rng,
@@ -209,18 +202,15 @@ void SlotEngine::runSlotsBatchPacked(std::span<tags::Tag> tags,
               (soa.hasStaticSignals() && soa.signalWords() == wordsPer));
 
   if (batchTxWords_.size() < nResp * wordsPer) {
-    ALLOC_GUARD_ALLOW();
-    // rfid:hot-allow: high-water-mark growth; steady state reuses storage
+    ALLOC_GUARD_ALLOW("high-water-mark growth; steady state reuses storage");
     batchTxWords_.resize(nResp * wordsPer);
   }
   if (batchAccWords_.size() < slots * wordsPer) {
-    ALLOC_GUARD_ALLOW();
-    // rfid:hot-allow: high-water-mark growth; steady state reuses storage
+    ALLOC_GUARD_ALLOW("high-water-mark growth; steady state reuses storage");
     batchAccWords_.resize(slots * wordsPer);
   }
   if (batchVerdicts_.size() < slots) {
-    ALLOC_GUARD_ALLOW();
-    // rfid:hot-allow: high-water-mark growth; steady state reuses storage
+    ALLOC_GUARD_ALLOW("high-water-mark growth; steady state reuses storage");
     batchVerdicts_.resize(slots);
   }
 
@@ -311,9 +301,7 @@ void SlotEngine::runSlotsBatchPacked(std::span<tags::Tag> tags,
     }
   }
 }
-// rfid:hot end
 
-// rfid:hot begin
 // rfid:noexcept-allow: drives the scalar runSlot, which owns the throwing
 // per-slot API checks
 void SlotEngine::runSlotsBatchFallback(std::span<tags::Tag> tags,
@@ -330,8 +318,7 @@ void SlotEngine::runSlotsBatchFallback(std::span<tags::Tag> tags,
     const std::uint32_t end = batch.offsets[s + 1];
     const std::size_t n = end - begin;
     if (batchResponders_.size() < n) {
-      ALLOC_GUARD_ALLOW();
-      // rfid:hot-allow: high-water-mark growth; steady state reuses storage
+      ALLOC_GUARD_ALLOW("high-water-mark growth; steady state reuses storage");
       batchResponders_.resize(n);
     }
     for (std::size_t k = 0; k < n; ++k) {
@@ -344,6 +331,5 @@ void SlotEngine::runSlotsBatchFallback(std::span<tags::Tag> tags,
     }
   }
 }
-// rfid:hot end
 
 }  // namespace rfid::sim

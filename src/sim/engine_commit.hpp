@@ -10,7 +10,6 @@
 
 namespace rfid::sim {
 
-// rfid:hot begin
 // rfid:noexcept-allow: an observer's exception (or the delay log's
 // amortized growth failing) propagates out of runSlot, as it always has
 template <typename Index>
@@ -83,9 +82,10 @@ phy::SlotType SlotEngine::commitSlot(std::span<tags::Tag> tags,
   }
 
   if (observer_ != nullptr) {
-    // Observers own their allocation budget (the engine contract covers
-    // engine allocations); test observers log events into vectors.
-    ALLOC_GUARD_ALLOW();
+    // Test observers log events into vectors.
+    ALLOC_GUARD_ALLOW(
+        "observers own their allocation budget; the engine contract covers "
+        "engine allocations");
     SlotEvent event;
     event.index = slotIndex_;
     event.trueType = trueType;
@@ -102,6 +102,5 @@ phy::SlotType SlotEngine::commitSlot(std::span<tags::Tag> tags,
   // collision so the responders are re-queued).
   return effective;
 }
-// rfid:hot end
 
 }  // namespace rfid::sim

@@ -3,8 +3,9 @@
 // The strings below would trip RFID-DET-001 / RFID-TIME-009 if literals
 // were scanned, the comment-only mentions of std::rand(), std::thread,
 // `seed + 1`, and std::chrono::steady_clock must be ignored, and the hot
-// region shows a justified rfid:hot-allow, a guarded noexcept function, a
-// justified noexcept opt-out, and a justified lint suppression.
+// functions show growth inside an ALLOC_GUARD_ALLOW scope, a guarded
+// noexcept function, a justified noexcept opt-out, digit separators, a
+// noexcept hot operator, and a justified lint suppression.
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -22,13 +23,12 @@ inline const char* kClockLabel = "std::chrono::steady_clock (label only)";
 // Sanctioned stream derivation: no arithmetic on the seed itself.
 inline std::uint64_t deriveStream(std::uint64_t seed) { return seed; }
 
-// rfid:hot begin
 inline void steadyState(std::vector<int>& scratch, std::size_t n) noexcept {
   ALLOC_GUARD_HOT();
   if (scratch.size() < n) {
-    ALLOC_GUARD_ALLOW();
-    // rfid:hot-allow: high-water-mark growth; steady state reuses storage
+    ALLOC_GUARD_ALLOW("high-water-mark growth; steady state reuses storage");
     scratch.resize(n);
+    scratch.reserve(n);  // still inside the allow scope
   }
   scratch[0] = 1;
 }
@@ -42,7 +42,21 @@ inline void checkedEntry(std::vector<int>& scratch) {
   }
   scratch[0] = 0;
 }
-// rfid:hot end
+
+// A digit separator stays inside its number: the `'` opens no character
+// literal, so everything below is still scanned.
+inline constexpr std::size_t kSlots = 50'000;
+
+// A hot operator: recognised as a function (the `=` of `operator|=` is
+// part of its name) and noexcept, so it is clean.
+struct Acc {
+  std::size_t word = 0;
+  Acc& operator|=(std::size_t bits) noexcept {
+    ALLOC_GUARD_HOT();
+    word |= bits % kSlots;
+    return *this;
+  }
+};
 
 inline long justified(int x) {
   return x;  // NOLINT(bugprone-example-check): fixture shows reason syntax

@@ -1,13 +1,12 @@
-// Fixture: RFID-EXC-008 — a literal throw inside an rfid:hot region. The
-// function is noexcept and guarded, so the only finding is the unwind
-// path itself (which would terminate at runtime anyway).
+// Fixture: RFID-EXC-008 — a literal throw inside a function that opens
+// ALLOC_GUARD_HOT(). The function is noexcept, so the only finding is the
+// unwind path itself (which would terminate at runtime anyway).
 #include <stdexcept>
 
 #include "common/alloc_guard.hpp"
 
 namespace rfid::fixture {
 
-// rfid:hot begin
 inline int classifySlot(int responders) noexcept {
   ALLOC_GUARD_HOT();
   if (responders < 0) {
@@ -15,6 +14,5 @@ inline int classifySlot(int responders) noexcept {
   }
   return responders == 0 ? 0 : (responders == 1 ? 1 : 2);
 }
-// rfid:hot end
 
 }  // namespace rfid::fixture

@@ -1,7 +1,7 @@
 // Fixture: RFID-HOT-002 — an impairment apply path that grows its
 // transmission-copy buffer per slot instead of reusing high-water-mark
 // scratch (the mistake the real ImpairedChannel::superposeInto avoids with
-// its hot-allow'd growth).
+// its ALLOC_GUARD_ALLOW-scoped growth).
 #include <cstddef>
 #include <vector>
 
@@ -9,7 +9,6 @@
 
 namespace rfid::fixture {
 
-// rfid:hot begin
 std::size_t applyImpairments(const std::vector<int>& transmissions,
                              std::vector<int>& scratch) noexcept {
   ALLOC_GUARD_HOT();
@@ -19,6 +18,5 @@ std::size_t applyImpairments(const std::vector<int>& transmissions,
   }
   return scratch.size();
 }
-// rfid:hot end
 
 }  // namespace rfid::fixture

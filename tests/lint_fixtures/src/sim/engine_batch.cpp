@@ -1,7 +1,7 @@
 // RFID-HOT-006 fixture: a slot-kernel file (same path as the real batch
-// kernel) with no hot-region markers at all. The code itself is harmless —
-// the violation is the *absence* of coverage, which would leave the
-// zero-alloc check (RFID-HOT-002) with nothing to scan here.
+// kernel) with no function that opens ALLOC_GUARD_HOT(). The code itself is
+// harmless — the violation is the *absence* of coverage, which would leave
+// the zero-alloc check (RFID-HOT-002) with nothing to scan here.
 #include <cstdint>
 
 namespace rfid::sim {

@@ -1,6 +1,6 @@
 // common::AllocGuard — the runtime half of the zero-alloc hot-path
-// contract (the static half is RFID-HOT-002 / RFID-GUARD-010 in
-// scripts/analyze).
+// contract (the static half is RFID-HOT-002 / RFID-EXC-008 in
+// scripts/analyze, which read the same ALLOC_GUARD_HOT() macros).
 //
 // The unit tests pin the guard semantics: per-scope counting, nesting,
 // the ALLOC_GUARD_ALLOW escape hatch, pushBackAmortized's

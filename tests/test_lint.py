@@ -2,16 +2,19 @@
 """Tests for scripts/check_invariants.py.
 
 Each fixture under tests/lint_fixtures/ is a minimal violation of exactly
-one rule (plus clean.cpp, which exercises every rule's negative space:
-string literals, comment-only mentions, justified rfid:hot-allow and
-NOLINT).  The fixtures mirror the real tree's src/ layout because the
-rules are path-scoped; --project-root points the linter at the fixture
-root.  Registered with ctest as `LintFixtures`; also runnable directly:
+one rule, and every rule has one (plus clean.cpp, which exercises every
+rule's negative space: string literals, comment-only mentions, growth
+inside an ALLOC_GUARD_ALLOW scope, digit separators, a hot operator, and
+justified noexcept opt-outs and NOLINTs).  The fixtures mirror the real
+tree's src/ layout because the rules are path-scoped; --project-root
+points the linter at the fixture root.  Registered with ctest as
+`LintFixtures`; also runnable directly:
 
     python3 tests/test_lint.py
 """
 
 import json
+import re
 import subprocess
 import sys
 import tempfile
@@ -27,15 +30,17 @@ EXPECTED = {
     "src/sim/det_rand.cpp": "RFID-DET-001",
     "src/core/hot_alloc.cpp": "RFID-HOT-002",
     "src/phy/impair_hot_alloc.cpp": "RFID-HOT-002",
-    "src/core/hot_unbalanced.cpp": "RFID-HOT-002",
+    "src/core/hot_alloc_separator.cpp": "RFID-HOT-002",
+    "src/core/hot_alloc_after_allow.cpp": "RFID-HOT-002",
+    "src/core/hot_stray_guard.cpp": "RFID-HOT-002",
     "src/sim/io_cout.cpp": "RFID-IO-003",
     "src/phy/naked_thread.cpp": "RFID-THR-004",
     "src/core/nolint_bare.cpp": "RFID-NOLINT-005",
     "src/sim/engine_batch.cpp": "RFID-HOT-006",
     "src/sim/seed_arith.cpp": "RFID-SEED-007",
     "src/core/hot_throw.cpp": "RFID-EXC-008",
+    "src/core/hot_operator.cpp": "RFID-EXC-008",
     "src/sim/time_clock.cpp": "RFID-TIME-009",
-    "src/core/guard_mismatch.cpp": "RFID-GUARD-010",
 }
 
 # Fixtures mirroring the real tree's allowlisted paths: the patterns
@@ -97,8 +102,9 @@ class FixtureViolations(unittest.TestCase):
             [sys.executable, str(LINTER), "--list-rules"],
             capture_output=True, text=True, check=False)
         self.assertEqual(proc.returncode, 0)
-        for rule in set(EXPECTED.values()):
-            self.assertIn(rule, proc.stdout)
+        listed = set(re.findall(r"^(RFID-[A-Z]+-\d+):", proc.stdout, re.M))
+        self.assertEqual(listed, set(EXPECTED.values()),
+                         "every listed rule needs a fixture, and vice versa")
 
 
 class SarifOutput(unittest.TestCase):
