@@ -11,7 +11,7 @@
 // The measured answer: no — the checksum preamble is strictly worse on
 // every axis. Superposed CRC codes coincide with the CRC of the superposed
 // r far more often than the naive 2^-w estimate (the OR channel correlates
-// code bits; exhaustive pair counting in the tests puts CRC-8 around 2%
+// code bits; exhaustive pair counting in the tests puts CRC-8 at 2.9%
 // misses vs QCD's 0.4%), and the tag is back to a ~30-instruction serial
 // LFSR. The complement is not just cheaper — its Theorem-1 guarantee for
 // distinct r is doing real detection work.

@@ -75,6 +75,9 @@ class BitVec {
   /// Overwrites word `i`. Bits beyond size() in the last word are cleared,
   /// preserving the canonical representation equality/popcount rely on.
   void setWord(std::size_t i, std::uint64_t value);
+  /// The words() packed words, read-only, for word-level consumers such as
+  /// CrcEngine::computeWords.
+  const std::uint64_t* data() const noexcept { return words_.data(); }
 
   /// True if at least one bit is 1 (an OR-channel carries energy).
   bool any() const noexcept;

@@ -92,6 +92,16 @@ bool allWordsZero(const std::uint64_t* words, std::size_t count) noexcept {
   return acc == 0;
 }
 
+/// The check both CRC schemes run on a superposed signal in BitVec's word
+/// layout: the CRC recomputed over bits [0, payloadBits) equals the code in
+/// the engine's width bits after them.
+bool crcCheckPasses(const crc::CrcEngine& engine, const std::uint64_t* words,
+                    std::size_t payloadBits) noexcept {
+  ALLOC_GUARD_HOT();
+  return engine.computeWords(words, payloadBits) ==
+         extractBits(words, payloadBits, engine.spec().width);
+}
+
 }  // namespace
 
 // --- CRC-CD ----------------------------------------------------------------
@@ -131,22 +141,44 @@ void CrcCdScheme::contentionSignalInto(const tags::Tag& tag,
   // growth through BitVec's sanctioned high-water-mark path, so steady
   // state stays guard-clean under RFID_ENFORCE_HOT.
   tag.id.sliceInto(0, tag.id.size(), out);
-  out.appendUint(engine_.computeBits(tag.id), engine_.spec().width);
+  out.appendUint(engine_.computeWords(tag.id.data(), tag.id.size()),
+                 engine_.spec().width);
 }
 
+void CrcCdScheme::packedStaticSignal(const tags::Tag& tag,
+                                     std::uint64_t* out) const {
+  RFID_REQUIRE(tag.id.size() == air().idBits,
+               "tag ID length must match the air interface");
+  // The ID's words, then the code from bit l_id on; BitVec's zero padding
+  // leaves that space clear in the ID's last word.
+  const std::size_t idBits = air().idBits;
+  const std::uint64_t code = engine_.computeWords(tag.id.data(), idBits);
+  const std::size_t words = contentionWords();
+  for (std::size_t w = 0; w < words; ++w) {
+    out[w] = w < tag.id.words() ? tag.id.word(w) : 0;
+  }
+  const std::size_t wi = idBits / 64;
+  const unsigned shift = static_cast<unsigned>(idBits % 64);
+  out[wi] |= code << shift;
+  if (shift != 0 && shift + engine_.spec().width > 64) {
+    out[wi + 1] |= code >> (64u - shift);
+  }
+}
+
+// rfid:noexcept-allow: the signal-length REQUIRE is a test-pinned contract
 SlotType CrcCdScheme::classify(const std::optional<BitVec>& signal,
                                std::size_t /*trueResponders*/) const {
+  ALLOC_GUARD_HOT();
   if (!signal.has_value() || signal->none()) {
     return SlotType::kIdle;
   }
   RFID_REQUIRE(signal->size() == contentionBits(),
                "signal length does not match the scheme");
-  const BitVec payload = signal->slice(0, air().idBits);
-  const BitVec code = signal->slice(air().idBits, engine_.spec().width);
   // crc(∨ id_i) == ∨ crc(id_i) ⇒ single (Fig. 1). A coincidence across a
   // real collision is possible with probability ~2^-l_crc.
-  return engine_.codeFor(payload) == code ? SlotType::kSingle
-                                          : SlotType::kCollided;
+  return crcCheckPasses(engine_, signal->data(), air().idBits)
+             ? SlotType::kSingle
+             : SlotType::kCollided;
 }
 
 void CrcCdScheme::classifyPacked(const std::uint64_t* superposed,
@@ -156,19 +188,14 @@ void CrcCdScheme::classifyPacked(const std::uint64_t* superposed,
   ALLOC_GUARD_HOT();
   const std::size_t words = contentionWords();
   const std::size_t idBits = air().idBits;
-  const unsigned width = engine_.spec().width;
   for (std::size_t i = 0; i < count; ++i) {
     const std::uint64_t* w = superposed + i * words;
     if (slotOffsets[i + 1] == slotOffsets[i] || allWordsZero(w, words)) {
       out[i] = SlotType::kIdle;
       continue;
     }
-    // Same test as classify(): recompute the CRC over the superposed ID
-    // part and compare it with the superposed code part, both read straight
-    // from the packed words.
-    const std::uint64_t crc = engine_.computeWords(w, idBits);
-    const std::uint64_t code = extractBits(w, idBits, width);
-    out[i] = crc == code ? SlotType::kSingle : SlotType::kCollided;
+    out[i] = crcCheckPasses(engine_, w, idBits) ? SlotType::kSingle
+                                                : SlotType::kCollided;
   }
 }
 
@@ -288,19 +315,22 @@ void CrcPreambleScheme::contentionSignalInto(const tags::Tag& /*tag*/,
   ALLOC_GUARD_HOT();
   // The CRC is computed over `out` while it still holds only the r part.
   out.assignUint(tagRng.between(1, maxR_), randomBits_);
-  out.appendUint(engine_.computeBits(out), engine_.spec().width);
+  out.appendUint(engine_.computeWords(out.data(), randomBits_),
+                 engine_.spec().width);
 }
 
+// rfid:noexcept-allow: the signal-length REQUIRE is a test-pinned contract
 SlotType CrcPreambleScheme::classify(const std::optional<BitVec>& signal,
                                      std::size_t /*trueResponders*/) const {
+  ALLOC_GUARD_HOT();
   if (!signal.has_value() || signal->none()) {
     return SlotType::kIdle;
   }
   RFID_REQUIRE(signal->size() == contentionBits(),
                "signal length does not match the scheme");
-  const BitVec r = signal->slice(0, randomBits_);
-  const BitVec code = signal->slice(randomBits_, engine_.spec().width);
-  return engine_.codeFor(r) == code ? SlotType::kSingle : SlotType::kCollided;
+  return crcCheckPasses(engine_, signal->data(), randomBits_)
+             ? SlotType::kSingle
+             : SlotType::kCollided;
 }
 
 SlotTiming CrcPreambleScheme::timing() const {

@@ -162,6 +162,8 @@ class CrcCdScheme final : public DetectionScheme {
   PackedKind packedKind() const noexcept override {
     return PackedKind::kStatic;
   }
+  void packedStaticSignal(const tags::Tag& tag,
+                          std::uint64_t* out) const override;
   void classifyPacked(const std::uint64_t* superposed,
                       const std::uint32_t* slotOffsets, std::size_t count,
                       phy::SlotType* out) const noexcept override;
@@ -220,7 +222,7 @@ class QcdScheme final : public DetectionScheme {
 /// With an 8-bit r and CRC-8 this occupies exactly QCD's 16 bits and the
 /// same variable-length slots — but detection is only *probabilistic*:
 /// unlike Theorem 1's distinct-r guarantee, a superposition can pass the
-/// check (measured ~2% of distinct pairs for CRC-8 — the OR channel
+/// check (measured 2.9% of distinct pairs for CRC-8 — the OR channel
 /// correlates the code bits well beyond the naive 2^-w estimate), and the
 /// tag is back to an O(l) serial checksum. Exists to answer "would any
 /// checksum do?" (no) — see bench/ablation_preamble_checksum.

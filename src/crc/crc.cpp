@@ -16,6 +16,12 @@ CrcSpec makeSpec(std::string name, unsigned width, std::uint64_t poly,
                  check};
 }
 
+/// One clock of the bit-reversed LFSR, whose input bit has already been
+/// xored into bit 0 of `s`: the left-shift core's top bit is S's bit 0.
+std::uint64_t reflectedStep(std::uint64_t s, std::uint64_t polyRev) noexcept {
+  return (s & 1u) != 0 ? ((s >> 1) ^ polyRev) : (s >> 1);
+}
+
 }  // namespace
 
 const CrcSpec& crc5Epc() {
@@ -81,44 +87,30 @@ CrcEngine::CrcEngine(CrcSpec spec) : spec_(std::move(spec)) {
   RFID_REQUIRE(spec_.width >= 1 && spec_.width <= 64,
                "CRC width must be in [1, 64]");
   RFID_REQUIRE((spec_.poly & ~mask()) == 0, "polynomial exceeds width");
-  if (spec_.width >= 8) {
-    table_.resize(256);
-    if (spec_.reflectIn) {
-      // Right-shift table over the reversed polynomial.
-      const std::uint64_t polyRev = reverseBits(spec_.poly, spec_.width);
-      for (std::uint32_t b = 0; b < 256; ++b) {
-        std::uint64_t reg = b;
-        for (int k = 0; k < 8; ++k) {
-          reg = (reg & 1u) ? ((reg >> 1) ^ polyRev) : (reg >> 1);
-        }
-        table_[b] = reg & mask();
-      }
-    } else {
-      for (std::uint32_t b = 0; b < 256; ++b) {
-        std::uint64_t reg = static_cast<std::uint64_t>(b)
-                            << (spec_.width - 8);
-        for (int k = 0; k < 8; ++k) {
-          reg = (reg & topBit()) ? ((reg << 1) ^ spec_.poly) : (reg << 1);
-        }
-        table_[b] = reg & mask();
-      }
+  polyRev_ = reverseBits(spec_.poly, spec_.width);
+  initRev_ = reverseBits(spec_.init, spec_.width);
+  // T0[b]: eight clocks from S = b. Input bits xored into S ahead of their
+  // clock reach bit 0 just in time, so this holds for widths below 8 too.
+  // Each further table appends one zero byte to the previous one.
+  slices_.resize(8);
+  for (std::uint32_t b = 0; b < 256; ++b) {
+    std::uint64_t s = b;
+    for (int k = 0; k < 8; ++k) {
+      s = reflectedStep(s, polyRev_);
+    }
+    slices_[0][b] = s;
+  }
+  for (std::size_t k = 1; k < slices_.size(); ++k) {
+    for (std::size_t b = 0; b < 256; ++b) {
+      const std::uint64_t prev = slices_[k - 1][b];
+      slices_[k][b] = (prev >> 8) ^ slices_[0][prev & 0xFFu];
     }
   }
 }
 
-std::uint64_t CrcEngine::coreInit() const noexcept {
-  // Rocksoft model: the left-shift core always starts from `init` as given;
-  // input reflection is applied to the data, output reflection to the final
-  // register.
-  return spec_.init;
-}
-
-std::uint64_t CrcEngine::finalize(std::uint64_t reg) const noexcept {
-  std::uint64_t out = reg & mask();
-  if (spec_.reflectOut) {
-    out = reverseBits(out, spec_.width);
-  }
-  return out ^ spec_.xorOut;
+std::uint64_t CrcEngine::finalize(std::uint64_t s) const noexcept {
+  // S is the register already bit-reversed, i.e. the reflected output.
+  return (spec_.reflectOut ? s : reverseBits(s, spec_.width)) ^ spec_.xorOut;
 }
 
 std::uint64_t CrcEngine::computeBytes(std::span<const std::uint8_t> data) const {
@@ -128,29 +120,20 @@ std::uint64_t CrcEngine::computeBytes(std::span<const std::uint8_t> data) const 
 
 std::uint64_t CrcEngine::computeBytesTable(
     std::span<const std::uint8_t> data) const {
-  RFID_REQUIRE(spec_.width >= 8, "table lookup requires width >= 8");
-  if (spec_.reflectIn) {
-    // Classic right-shift table algorithm: its register is the bit-reverse
-    // of the left-shift core register, so it starts from reflect(init) and
-    // is reflected back before finalize().
-    std::uint64_t reg = reverseBits(spec_.init, spec_.width);
-    for (const std::uint8_t byte : data) {
-      reg = table_[(reg ^ byte) & 0xFFu] ^ (reg >> 8);
-    }
-    reg &= mask();
-    return finalize(reverseBits(reg, spec_.width));
-  }
-  std::uint64_t reg = coreInit();
+  // S takes each byte least-significant bit first, so a byte of a spec
+  // without reflectIn (sent most-significant bit first) enters reversed.
+  std::uint64_t s = initRev_;
   for (const std::uint8_t byte : data) {
-    const std::uint64_t idx = ((reg >> (spec_.width - 8)) ^ byte) & 0xFFu;
-    reg = (table_[idx] ^ (reg << 8)) & mask();
+    const std::uint64_t in = spec_.reflectIn ? byte : reverseBits(byte, 8);
+    s = (s >> 8) ^ slices_[0][(s ^ in) & 0xFFu];
   }
-  return finalize(reg);
+  return finalize(s);
 }
 
 std::uint64_t CrcEngine::computeBits(const BitVec& bits,
                                      SerialOpCount* ops) const {
-  std::uint64_t reg = coreInit();
+  // The left-shift LFSR a tag clocks, kept bit-serial for the op census.
+  std::uint64_t reg = spec_.init;
   const std::uint64_t top = topBit();
   const std::size_t n = bits.size();
   for (std::size_t i = 0; i < n; ++i) {
@@ -167,24 +150,33 @@ std::uint64_t CrcEngine::computeBits(const BitVec& bits,
       ops->branches += 1;
     }
   }
-  return finalize(reg);
+  return finalize(reverseBits(reg, spec_.width));
 }
 
 std::uint64_t CrcEngine::computeWords(const std::uint64_t* words,
                                       std::size_t nbits) const noexcept {
   ALLOC_GUARD_HOT();
-  // Same serial LFSR core as computeBits, reading packed words directly.
-  std::uint64_t reg = coreInit();
-  const std::uint64_t top = topBit();
-  for (std::size_t i = 0; i < nbits; ++i) {
-    const bool inBit = ((words[i / 64] >> (i % 64)) & 1u) != 0;
-    const bool doXor = ((reg & top) != 0) != inBit;
-    reg = (reg << 1) & mask();
-    if (doXor) {
-      reg ^= spec_.poly;
-    }
+  // Stream bit i enters at bit 0 of S, as in BitVec's words, so a whole
+  // word is xored in at once and clocked through by eight lookups.
+  const auto& t = slices_;
+  std::uint64_t s = initRev_;
+  const std::size_t whole = nbits / 64;
+  for (std::size_t i = 0; i < whole; ++i) {
+    const std::uint64_t x = s ^ words[i];
+    s = t[7][x & 0xFFu] ^ t[6][(x >> 8) & 0xFFu] ^ t[5][(x >> 16) & 0xFFu] ^
+        t[4][(x >> 24) & 0xFFu] ^ t[3][(x >> 32) & 0xFFu] ^
+        t[2][(x >> 40) & 0xFFu] ^ t[1][(x >> 48) & 0xFFu] ^ t[0][x >> 56];
   }
-  return finalize(reg);
+  // The last partial word: whole bytes through T0, then single clocks.
+  std::size_t rem = nbits % 64;
+  std::uint64_t tail = rem != 0 ? words[whole] : 0;
+  for (; rem >= 8; rem -= 8, tail >>= 8) {
+    s = (s >> 8) ^ t[0][(s ^ tail) & 0xFFu];
+  }
+  for (; rem > 0; --rem, tail >>= 1) {
+    s = reflectedStep(s ^ (tail & 1u), polyRev_);
+  }
+  return finalize(s);
 }
 
 BitVec CrcEngine::codeFor(const BitVec& payload) const {

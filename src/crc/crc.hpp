@@ -9,12 +9,19 @@
 // One engine supports any width in [1, 64], normal or reflected I/O, and
 // three implementation strategies:
 //   * bit-serial LFSR      — the form a tag's IC would realise in hardware;
-//                            instruction-counting variant backs Table IV;
+//                            instruction-counting variant backs Table IV and
+//                            is the oracle the tests compare against;
 //   * byte-wise table      — the classic 256-entry lookup (the "1 KB of
 //                            memory" the paper charges CRC-CD with);
-//   * both cross-validated in tests.
+//   * slicing-by-8         — eight such tables, eight lookups per 64-bit
+//                            word (Kounavis & Berry, ISCC 2005): the
+//                            reader-side form every detection scheme runs.
+// The two table strategies run the LFSR bit-reversed (S = reverse(R), a
+// right shift), so BitVec's LSB-first words feed in directly at any width;
+// all three are cross-validated in tests.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -66,7 +73,7 @@ class CrcEngine {
   /// CRC over a byte message (conventional form; honours reflectIn).
   std::uint64_t computeBytes(std::span<const std::uint8_t> data) const;
 
-  /// Same, via the 256-entry lookup table (width >= 8 only).
+  /// Same, via the 256-entry byte table T0.
   std::uint64_t computeBytesTable(std::span<const std::uint8_t> data) const;
 
   /// CRC over an arbitrary bit string fed in transmission order (index 0
@@ -80,10 +87,11 @@ class CrcEngine {
   /// after the payload for transmission (bit i of the register at index i).
   common::BitVec codeFor(const common::BitVec& payload) const;
 
-  /// computeBits over a packed word array: feeds `nbits` bits, where bit i
-  /// is bit i mod 64 of words[i / 64] (BitVec's word layout), so
-  /// computeWords(v.words, v.size()) == computeBits(v). Used by the batch
-  /// slot kernel, which superposes signals as raw words without a BitVec.
+  /// computeBits over a packed word array by slicing-by-8: feeds `nbits`
+  /// bits, where bit i is bit i mod 64 of words[i / 64] (BitVec's word
+  /// layout), so computeWords(v.data(), v.size()) == computeBits(v). Bits
+  /// past `nbits` are never read, so a packed signal's trailing fields may
+  /// share the last word. Every detection scheme computes its CRCs here.
   std::uint64_t computeWords(const std::uint64_t* words,
                              std::size_t nbits) const noexcept;
 
@@ -99,13 +107,15 @@ class CrcEngine {
   std::uint64_t topBit() const noexcept {
     return std::uint64_t{1} << (spec_.width - 1);
   }
-  /// Register value the serial core starts from (init, bit-reversed when the
-  /// spec is reflected, because the core always shifts left).
-  std::uint64_t coreInit() const noexcept;
-  std::uint64_t finalize(std::uint64_t reg) const noexcept;
+  /// The CRC from the final bit-reversed register S = reverse(R).
+  std::uint64_t finalize(std::uint64_t s) const noexcept;
 
   CrcSpec spec_;
-  std::vector<std::uint64_t> table_;  ///< 256 entries when width >= 8
+  std::uint64_t polyRev_ = 0;  ///< reverse(poly): the reversed feedback taps
+  std::uint64_t initRev_ = 0;  ///< reverse(init): where S starts
+  /// Slicing-by-8 tables: T_k[b] is S after byte b and then 8·k zero bits,
+  /// starting from S = 0. T0 is also the byte table.
+  std::vector<std::array<std::uint64_t, 256>> slices_;
 };
 
 /// Bit-reverses the low `width` bits of v.

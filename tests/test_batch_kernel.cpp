@@ -481,18 +481,43 @@ TEST(PackedPrimitives, InspectPackedMatchesInspect) {
 }
 
 TEST(PackedPrimitives, ComputeWordsMatchesComputeBits) {
+  // Slicing-by-8 against the serial LFSR for every width class (1-bit
+  // parity through CRC-64, reflected and not) at every length through
+  // three words. The padding past nbits is all ones: when l_id < 64,
+  // CRC-CD's code shares the ID's last word, so computeWords must read
+  // exactly nbits bits.
+  using rfid::crc::CrcEngine;
+  using rfid::crc::CrcSpec;
+  const CrcSpec crc64Ecma{"CRC-64/ECMA-182", 64, 0x42F0E1EBA9EA3693ull, 0,
+                          false, false, 0, 0x6C40DF5F0B497347ull};
+  const CrcSpec crc64Xz{"CRC-64/XZ", 64, 0x42F0E1EBA9EA3693ull,
+                        ~std::uint64_t{0}, true, true, ~std::uint64_t{0},
+                        0x995DC9BBDF1939FAull};
+  const CrcSpec parity{"CRC-1/PARITY", 1, 0x1, 0, false, false, 0, 0};
+  const std::uint8_t checkInput[] = {'1', '2', '3', '4', '5',
+                                     '6', '7', '8', '9'};
+  for (const CrcSpec* spec : {&crc64Ecma, &crc64Xz}) {
+    const CrcEngine engine(*spec);
+    EXPECT_EQ(engine.computeBytes(checkInput), spec->check) << spec->name;
+    EXPECT_EQ(engine.computeBytesTable(checkInput), spec->check)
+        << spec->name;
+  }
+
   Rng rng(79);
-  for (const auto* spec :
-       {&rfid::crc::crc32(), &rfid::crc::crc16Genibus(),
-        &rfid::crc::crc8Smbus()}) {
-    const rfid::crc::CrcEngine engine(*spec);
-    for (const std::size_t nbits : {1ull, 37ull, 64ull, 96ull, 130ull}) {
+  for (const CrcSpec* spec :
+       {&rfid::crc::crc5Epc(), &rfid::crc::crc8Smbus(),
+        &rfid::crc::crc16CcittFalse(), &rfid::crc::crc16Genibus(),
+        &rfid::crc::crc32(), &rfid::crc::crc32Bzip2(), &crc64Ecma, &crc64Xz,
+        &parity}) {
+    const CrcEngine engine(*spec);
+    for (std::size_t nbits = 0; nbits <= 130; ++nbits) {
       for (int trial = 0; trial < 20; ++trial) {
         const BitVec v = rng.bitvec(nbits);
-        std::vector<std::uint64_t> words((nbits + 63) / 64);
-        for (std::size_t w = 0; w < words.size(); ++w) {
+        std::vector<std::uint64_t> words(nbits / 64 + 1, ~std::uint64_t{0});
+        for (std::size_t w = 0; w < v.words(); ++w) {
           words[w] = v.word(w);
         }
+        words[nbits / 64] |= ~std::uint64_t{0} << (nbits % 64);
         EXPECT_EQ(engine.computeWords(words.data(), nbits),
                   engine.computeBits(v))
             << spec->name << " nbits=" << nbits;

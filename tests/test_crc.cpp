@@ -39,9 +39,6 @@ TEST_P(CrcCatalogTest, CheckValueMatchesCatalogue) {
 
 TEST_P(CrcCatalogTest, TableMatchesSerialOnRandomMessages) {
   const CrcEngine engine(*GetParam());
-  if (engine.spec().width < 8) {
-    GTEST_SKIP() << "table path requires width >= 8";
-  }
   Rng rng(31);
   for (int t = 0; t < 50; ++t) {
     std::vector<std::uint8_t> msg(rng.below(64) + 1);
@@ -160,12 +157,6 @@ TEST(Crc, RejectsInvalidSpecs) {
   CrcSpec overflowPoly = rfid::crc::crc5Epc();
   overflowPoly.poly = 0x20;  // bit 5 set: exceeds width 5
   EXPECT_THROW(CrcEngine{overflowPoly}, PreconditionError);
-}
-
-TEST(Crc, TablePathRequiresWidth8) {
-  const CrcEngine engine(rfid::crc::crc5Epc());
-  const std::uint8_t data[] = {0x01};
-  EXPECT_THROW((void)engine.computeBytesTable(data), PreconditionError);
 }
 
 TEST(Crc, TableBitsMatchesPaperMemoryFigure) {
