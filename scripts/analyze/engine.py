@@ -40,6 +40,9 @@ NOEXCEPT_TOKEN = re.compile(r"\bnoexcept\b")
 #: belongs to the operator's name (`operator=`, `operator|=`, ...), not
 #: to an initializer.
 OPERATOR_TAIL = re.compile(r"\boperator\s*[^\w\s(]*$")
+#: A member initializer's brace follows its name (`cap_{`, `Base<T>{`); the
+#: body's follows the parameter list or the last initializer.
+NAME_TAIL = re.compile(r"[\w>]\s*$")
 
 #: First tokens that open control-flow blocks, never function definitions.
 _CONTROL_KEYWORDS = {
@@ -80,26 +83,40 @@ def scan_function_definitions(code_lines: list[str]) -> list[FuncDef]:
     The scanner accumulates a candidate signature between statement
     boundaries; a `{` that closes a balanced, non-empty parenthesis list
     whose first token is not a control or type keyword opens a function
-    body.  Bodies (and everything inside them: lambdas, local blocks)
-    are skipped; `namespace`/`class`/`struct` bodies are transparent so
-    member definitions are still found.  Preprocessor lines are ignored
-    wholesale (macro bodies may hold unbalanced braces).
+    body; a template header is skipped when finding that first token.  A
+    top-level `=` marks an initializer, except inside a template
+    parameter list (a defaulted template argument).  After the parameter
+    list, a lone `:` opens a constructor's member-initializer list, where
+    a `{` right after a name (`cap_{cap}`) is an initializer, skipped to
+    its matching `}`.  Bodies (and everything inside them: lambdas, local
+    blocks) are skipped; `namespace`/`class`/`struct` bodies are
+    transparent so member definitions are still found.  Preprocessor
+    lines are ignored wholesale (macro bodies may hold unbalanced braces).
     """
     defs: list[FuncDef] = []
     ctx: list[str] = []  # per open brace: "function" | "other"
     buf: list[str] = []
     buf_start = 0
     parens = 0
+    angles = 0       # open `<` of a template parameter list
+    head_start = 0   # where the declaration after a template header starts
+    init_braces = 0  # open braces of a member initializer
     saw_parens = False
     top_equals = False
+    mem_init = False
     in_continuation = False
 
     def reset() -> None:
-        nonlocal parens, saw_parens, top_equals
+        nonlocal parens, angles, head_start, init_braces, saw_parens, \
+            top_equals, mem_init
         buf.clear()
-        parens = 0
-        saw_parens = False
-        top_equals = False
+        parens = angles = head_start = init_braces = 0
+        saw_parens = top_equals = mem_init = False
+
+    def first_token() -> str:
+        header = "".join(buf[head_start:]).strip()
+        first = header.split(None, 1)[0] if header else ""
+        return first.split("(")[0].split("<")[0]
 
     for lineno, line in enumerate(code_lines, 1):
         stripped = line.strip()
@@ -107,7 +124,7 @@ def scan_function_definitions(code_lines: list[str]) -> list[FuncDef]:
             in_continuation = stripped.endswith("\\")
             continue
         inside_function = "function" in ctx
-        for c in line:
+        for i, c in enumerate(line):
             if inside_function:
                 if c == "{":
                     ctx.append("other")
@@ -118,10 +135,14 @@ def scan_function_definitions(code_lines: list[str]) -> list[FuncDef]:
                     inside_function = "function" in ctx
                     reset()
                 continue
+            if init_braces or (mem_init and c == "{" and
+                               NAME_TAIL.search("".join(buf))):
+                init_braces += {"{": 1, "}": -1}.get(c, 0)
+                buf.append(c)
+                continue
             if c == "{":
                 header = "".join(buf).strip()
-                first = header.split(None, 1)[0] if header else ""
-                first = first.split("(")[0].split("<")[0]
+                first = first_token()
                 is_function = (
                     saw_parens and parens == 0 and not top_equals
                     and first not in _CONTROL_KEYWORDS
@@ -150,9 +171,18 @@ def scan_function_definitions(code_lines: list[str]) -> list[FuncDef]:
                 saw_parens = True
             elif c == ")":
                 parens = max(0, parens - 1)
-            elif c == "=" and parens == 0 and \
+            elif c in "<>" and parens == 0 and first_token() == "template":
+                angles = max(0, angles + (1 if c == "<" else -1))
+                if angles == 0:
+                    head_start = len(buf) + 1
+            elif c == "=" and parens == 0 and angles == 0 and \
                     not OPERATOR_TAIL.search("".join(buf)):
                 top_equals = True
+            elif c == ":" and saw_parens and parens == 0 and \
+                    not top_equals and \
+                    ":" not in (line[i - 1:i], line[i + 1:i + 2]) and \
+                    first_token() not in _TYPE_KEYWORDS:
+                mem_init = True
             if not buf:
                 if c.isspace():
                     continue

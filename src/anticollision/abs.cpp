@@ -1,7 +1,6 @@
 #include "anticollision/abs.hpp"
 
 #include <algorithm>
-#include <deque>
 
 namespace rfid::anticollision {
 
@@ -18,77 +17,32 @@ void AdaptiveBinarySplitting::resetAdaptation() {
 bool AdaptiveBinarySplitting::run(sim::SlotEngine& engine,
                                   std::span<tags::Tag> tags,
                                   common::Rng& rng) {
-  const std::vector<std::size_t> blockers = blockerIndices(tags);
-  const std::vector<std::size_t> active = activeTagIndices(tags);
-  if (active.empty()) {
-    return true;
-  }
+  if (walk_.beginRun(tags, maxSlots()) == 0) return true;
 
-  // Assign initial counters: remembered order for returning tags, a random
-  // draw from the previous round's group range for new ones.
+  // Initial counters: remembered order for returning tags, a random draw
+  // from the previous round's group range for new ones. The walk queries
+  // the counter groups in counter order, splits re-entering at the front,
+  // exactly like counters incrementing behind the split.
   const std::uint64_t drawRange = std::max<std::uint64_t>(1, lastGroups_);
-  std::uint64_t maxCounter = 0;
-  for (const std::size_t idx : active) {
+  walk_.regroup(1, [&](std::size_t idx) {
     const auto it = nextCounter_.find(tags[idx].idValue);
-    const std::uint64_t c =
-        it != nextCounter_.end() ? it->second : rng.below(drawRange);
-    tags[idx].counter = static_cast<std::int64_t>(c);
-    maxCounter = std::max(maxCounter, c);
-  }
+    return static_cast<std::size_t>(
+        it != nextCounter_.end() ? it->second : rng.below(drawRange));
+  });
+  const bool drained = walk_.depthFirst(engine, tags, rng);
 
-  // Groups in counter order (a FIFO of groups; splits re-insert at the
-  // front, exactly like counters incrementing behind the split).
-  std::deque<std::vector<std::size_t>> queue(maxCounter + 1);
-  for (const std::size_t idx : active) {
-    queue[static_cast<std::size_t>(tags[idx].counter)].push_back(idx);
-  }
-
-  nextCounter_.clear();
   // Reservation index for the next round. Real ABS tags decrement their
   // allocated-slot counter on idle slots, which makes the surviving
   // reservations contiguous; numbering reservations by *identification*
-  // order (not by readable-slot order) reproduces exactly that.
+  // order (not by readable-slot order) reproduces exactly that. A walk cut
+  // short by the budget still numbers the tags it silenced.
+  nextCounter_.clear();
   std::uint64_t nextReservation = 0;
-  std::size_t slotsUsed = 0;
-  std::vector<std::size_t> responders;
-
-  while (!queue.empty()) {
-    if (slotsUsed++ >= maxSlots()) {
-      return false;
-    }
-    std::vector<std::size_t> group = std::move(queue.front());
-    queue.pop_front();
-
-    responders = group;
-    responders.insert(responders.end(), blockers.begin(), blockers.end());
-    const phy::SlotType detected = engine.runSlot(tags, responders, rng);
-
-    if (detected == phy::SlotType::kCollided) {
-      std::vector<std::size_t> now;
-      std::vector<std::size_t> later;
-      for (const std::size_t idx : group) {
-        if (tags[idx].believesIdentified) continue;
-        (rng.below(2) == 0 ? now : later).push_back(idx);
-      }
-      queue.push_front(std::move(later));
-      queue.push_front(std::move(now));
-    } else {
-      // Readable slot: every tag it silenced (normally exactly one) takes
-      // the next reservation.
-      for (const std::size_t idx : group) {
-        if (tags[idx].believesIdentified) {
-          nextCounter_[tags[idx].idValue] = nextReservation++;
-        } else {
-          // Capture loser: re-contend with the next group.
-          if (queue.empty()) queue.emplace_back();
-          queue.front().push_back(idx);
-        }
-      }
-    }
+  for (const std::size_t idx : walk_.read()) {
+    nextCounter_[tags[idx].idValue] = nextReservation++;
   }
-
-  lastGroups_ = std::max<std::uint64_t>(1, nextReservation);
-  return activeTagIndices(tags).empty();
+  if (drained) lastGroups_ = std::max<std::uint64_t>(1, nextReservation);
+  return drained;
 }
 
 }  // namespace rfid::anticollision

@@ -10,6 +10,7 @@
 #include <unordered_map>
 
 #include "anticollision/protocol.hpp"
+#include "anticollision/split_walk.hpp"
 
 namespace rfid::anticollision {
 
@@ -25,6 +26,7 @@ class AdaptiveBinarySplitting final : public Protocol {
   void resetAdaptation();
 
  private:
+  SplitWalk walk_;
   /// Next-round initial counter per tag (keyed by ID value), learned from
   /// the identification order of the previous round.
   std::unordered_map<std::uint64_t, std::uint64_t> nextCounter_;

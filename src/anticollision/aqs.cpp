@@ -1,18 +1,41 @@
 #include "anticollision/aqs.hpp"
 
 #include <algorithm>
-#include <deque>
-#include <unordered_map>
-#include <unordered_set>
+#include <set>
+#include <utility>
 
 namespace rfid::anticollision {
 
 namespace {
 
-/// Packs a prefix into one key (length in the top bits; values are < 2^58
-/// only when length <= 58, so key on both fields).
-std::uint64_t prefixKey(Prefix p) {
-  return (static_cast<std::uint64_t>(p.length) << 58) ^ (p.value * 0x9e3779b97f4a7c15ull);
+const auto byLengthThenValue = [](const Prefix& a, const Prefix& b) {
+  return std::pair(a.length, a.value) < std::pair(b.length, b.value);
+};
+const auto deepestFirst = [](const Prefix& a, const Prefix& b) {
+  return std::pair(b.length, a.value) < std::pair(a.length, b.value);
+};
+
+/// The index of the candidate that prefixes `id`, or candidates.size().
+/// The candidates partition the ID space (they are the readable leaves of
+/// a full binary split), so at most one matches; sorted by length, then
+/// value, each length is one run to binary-search. A query asked twice in
+/// one walk (a root query for unmatched tags re-asks candidates) is a
+/// candidate twice, and its tags join the later copy.
+std::size_t candidateOf(std::span<const Prefix> candidates, std::uint64_t id,
+                        std::size_t idBits) {
+  for (auto run = candidates.begin(); run != candidates.end();) {
+    const unsigned length = run->length;
+    const auto runEnd = std::partition_point(
+        run, candidates.end(),
+        [length](const Prefix& p) { return p.length == length; });
+    const Prefix key{length == 0 ? 0 : id >> (idBits - length), length};
+    const auto it = std::upper_bound(run, runEnd, key, byLengthThenValue);
+    if (it != run && *std::prev(it) == key) {
+      return static_cast<std::size_t>(std::prev(it) - candidates.begin());
+    }
+    run = runEnd;
+  }
+  return candidates.size();
 }
 
 }  // namespace
@@ -28,141 +51,53 @@ bool AdaptiveQuerySplitting::run(sim::SlotEngine& engine,
                                  std::span<tags::Tag> tags,
                                  common::Rng& rng) {
   const std::size_t idBits = engine.scheme().air().idBits;
-  const std::vector<std::size_t> blockers = blockerIndices(tags);
-  std::vector<std::size_t> responders;
-  std::size_t slotsUsed = 0;
+  std::size_t contenders = walk_.beginRun(tags, maxSlots());
+  for (;;) {
+    // One group per candidate query (the root when there are none yet); a
+    // tag no candidate matches, only possible after a jammed round, joins
+    // a root query after them.
+    walk_.regroup(std::max<std::size_t>(1, candidates_.size()),
+                  [&](std::size_t idx) {
+                    return candidateOf(candidates_, tags[idx].idValue, idBits);
+                  });
+    if (!walk_.breadthFirst(engine, tags, rng, candidates_)) return false;
+    learnCandidates();
+    // Capture-effect stragglers fell out of this walk (their prefix read as
+    // single): walk again from the fresh candidates, on the run's one slot
+    // budget, until all are read or a walk makes no progress (jamming).
+    const std::size_t remaining = walk_.gather(tags);
+    if (remaining == 0 || remaining == contenders) return remaining == 0;
+    contenders = remaining;
+  }
+}
 
-  struct Node {
-    Prefix prefix;
-    std::vector<std::size_t> members;
-  };
-  std::deque<Node> queue;
-
-  const std::vector<std::size_t> active = activeTagIndices(tags);
-  if (candidates_.empty()) {
-    queue.push_back(Node{Prefix{}, active});
-  } else {
-    // The candidates partition the ID space (they are the readable leaves of
-    // a full binary split), so each tag matches exactly one of them.
-    std::unordered_map<unsigned, std::unordered_map<std::uint64_t, std::size_t>>
-        byLength;
-    for (std::size_t i = 0; i < candidates_.size(); ++i) {
-      queue.push_back(Node{candidates_[i], {}});
-      byLength[candidates_[i].length][candidates_[i].value] = i;
-    }
-    std::vector<std::size_t> unmatched;
-    for (const std::size_t idx : active) {
-      const std::uint64_t id = tags[idx].idValue;
-      bool placed = false;
-      for (auto& [len, values] : byLength) {
-        const std::uint64_t key =
-            len == 0 ? 0 : (id >> (idBits - len));
-        const auto it = values.find(key);
-        if (it != values.end()) {
-          queue[it->second].members.push_back(idx);
-          placed = true;
-          break;
-        }
-      }
-      if (!placed) {
-        unmatched.push_back(idx);  // only possible after a jammed round
-      }
-    }
-    if (!unmatched.empty()) {
-      queue.push_back(Node{Prefix{}, std::move(unmatched)});
+// Query deletion: sibling idle leaves merge into their parent. Deepest
+// first, a popped leaf's sibling can only be in the set already, and a
+// merged parent is popped after every leaf deeper than it.
+void AdaptiveQuerySplitting::learnCandidates() {
+  candidates_.clear();
+  std::set<Prefix, decltype(deepestFirst)> idle;
+  for (const SplitWalk::Leaf& leaf : walk_.leaves()) {
+    if (leaf.type == phy::SlotType::kIdle) {
+      idle.insert(leaf.prefix);
+    } else {
+      candidates_.push_back(leaf.prefix);
     }
   }
-
-  // Readable leaves of this round, to become the next round's candidates.
-  std::vector<Prefix> singleLeaves;
-  std::unordered_set<std::uint64_t> idleKeys;
-  std::vector<Prefix> idleLeaves;
-  const std::size_t activeAtStart = active.size();
-
-  while (!queue.empty()) {
-    if (slotsUsed++ >= maxSlots()) {
-      return false;
-    }
-    Node node = std::move(queue.front());
-    queue.pop_front();
-
-    responders = node.members;
-    responders.insert(responders.end(), blockers.begin(), blockers.end());
-    const phy::SlotType detected = engine.runSlot(tags, responders, rng);
-
-    switch (detected) {
-      case phy::SlotType::kCollided:
-        if (node.prefix.length < idBits) {
-          Node zero{node.prefix.child(0), {}};
-          Node one{node.prefix.child(1), {}};
-          const std::size_t splitBit = idBits - node.prefix.length - 1;
-          for (const std::size_t idx : node.members) {
-            if (tags[idx].believesIdentified) continue;
-            const bool bit = ((tags[idx].idValue >> splitBit) & 1u) != 0;
-            (bit ? one : zero).members.push_back(idx);
-          }
-          queue.push_back(std::move(zero));
-          queue.push_back(std::move(one));
-        }
-        break;
-      case phy::SlotType::kSingle:
-        singleLeaves.push_back(node.prefix);
-        break;
-      case phy::SlotType::kIdle:
-        idleLeaves.push_back(node.prefix);
-        idleKeys.insert(prefixKey(node.prefix));
-        break;
+  while (!idle.empty()) {
+    const Prefix p = *idle.begin();
+    idle.erase(idle.begin());
+    const auto sibling = p.length > 0
+                             ? idle.find(Prefix{p.value ^ 1u, p.length})
+                             : idle.end();
+    if (sibling == idle.end()) {
+      candidates_.push_back(p);
+    } else {
+      idle.erase(sibling);
+      idle.insert(p.parent());
     }
   }
-
-  // Query deletion: merge sibling idle leaves into their parent, repeatedly.
-  bool merged = true;
-  while (merged) {
-    merged = false;
-    std::vector<Prefix> next;
-    std::unordered_set<std::uint64_t> consumed;
-    for (const Prefix& p : idleLeaves) {
-      if (consumed.contains(prefixKey(p))) continue;
-      if (p.length > 0) {
-        const Prefix sibling{p.value ^ 1u, p.length};
-        if (idleKeys.contains(prefixKey(sibling)) &&
-            !consumed.contains(prefixKey(sibling))) {
-          consumed.insert(prefixKey(p));
-          consumed.insert(prefixKey(sibling));
-          next.push_back(p.parent());
-          merged = true;
-          continue;
-        }
-      }
-      next.push_back(p);
-    }
-    if (merged) {
-      idleLeaves = std::move(next);
-      idleKeys.clear();
-      for (const Prefix& p : idleLeaves) {
-        idleKeys.insert(prefixKey(p));
-      }
-    }
-  }
-
-  candidates_ = singleLeaves;
-  candidates_.insert(candidates_.end(), idleLeaves.begin(), idleLeaves.end());
-  std::sort(candidates_.begin(), candidates_.end(),
-            [](const Prefix& a, const Prefix& b) {
-              return a.length != b.length ? a.length < b.length
-                                          : a.value < b.value;
-            });
-
-  // Capture-effect stragglers fell out of this walk (their prefix read as
-  // single); re-walk from the fresh candidate set while progress is made.
-  const std::vector<std::size_t> remaining = activeTagIndices(tags);
-  if (remaining.empty()) {
-    return true;
-  }
-  if (remaining.size() == activeAtStart) {
-    return false;  // no progress: jammed
-  }
-  return run(engine, tags, rng);
+  std::sort(candidates_.begin(), candidates_.end(), byLengthThenValue);
 }
 
 }  // namespace rfid::anticollision

@@ -10,7 +10,7 @@
 #include <vector>
 
 #include "anticollision/protocol.hpp"
-#include "anticollision/qt.hpp"
+#include "anticollision/split_walk.hpp"
 
 namespace rfid::anticollision {
 
@@ -30,6 +30,10 @@ class AdaptiveQuerySplitting final : public Protocol {
   const std::vector<Prefix>& candidates() const noexcept { return candidates_; }
 
  private:
+  /// Turns the last walk's readable leaves into the candidates.
+  void learnCandidates();
+
+  SplitWalk walk_;
   std::vector<Prefix> candidates_;
 };
 

@@ -20,7 +20,8 @@ std::string BirthdayProtocol::name() const { return "Birthday"; }
 
 bool BirthdayProtocol::run(sim::SlotEngine& engine, std::span<tags::Tag> tags,
                            common::Rng& rng) {
-  const std::vector<std::size_t> blockers = blockerIndices(tags);
+  std::vector<std::size_t> blockers;
+  blockerIndicesInto(tags, blockers);
   std::vector<std::size_t> responders;
   double p = initialP_;
   std::size_t slotsUsed = 0;
@@ -33,7 +34,8 @@ bool BirthdayProtocol::run(sim::SlotEngine& engine, std::span<tags::Tag> tags,
   // would otherwise leak into every protocol-completeness statistic.
   std::size_t consecutiveIdle = 0;
 
-  std::vector<std::size_t> active = activeTagIndices(tags);
+  std::vector<std::size_t> active;
+  activeTagIndicesInto(tags, active);
   while (slotsUsed < maxSlots()) {
     const auto quietTarget =
         static_cast<std::size_t>(std::ceil(4.0 / p));
@@ -66,7 +68,7 @@ bool BirthdayProtocol::run(sim::SlotEngine& engine, std::span<tags::Tag> tags,
         break;
     }
     if (!responders.empty()) {
-      active = activeTagIndices(tags);
+      activeTagIndicesInto(tags, active);
     }
   }
   return false;

@@ -6,69 +6,14 @@ BinaryTree::BinaryTree(std::size_t maxSlots) : Protocol(maxSlots) {}
 
 std::string BinaryTree::name() const { return "BT"; }
 
-// Implementation note: the published algorithm is phrased with per-tag
-// counters (see header). A LIFO stack of groups is the standard equivalent
-// formulation — a tag's counter equals its group's depth on the stack — and
-// it avoids scanning every tag on every slot, which matters at n = 50000.
-// The slot sequence is identical: a collided group splits by a fair coin
-// into the next-slot subset (counter 0) and the deferred subset (counter 1),
-// both of which are pushed even when empty (an empty subset is exactly the
-// idle slot BT pays for a bad split).
+// The published algorithm is phrased with per-tag counters (see header);
+// SplitWalk's depth-first stack is the standard equivalent formulation,
+// which avoids scanning every tag on every slot (n = 50000). An empty
+// field costs no slot.
 bool BinaryTree::run(sim::SlotEngine& engine, std::span<tags::Tag> tags,
                      common::Rng& rng) {
-  const std::vector<std::size_t> blockers = blockerIndices(tags);
-  std::vector<std::size_t> responders;
-  std::size_t slotsUsed = 0;
-
-  std::vector<std::vector<std::size_t>> stack;
-  stack.push_back(activeTagIndices(tags));
-  if (stack.back().empty()) {
-    return true;
-  }
-  // Capture-effect losers re-contend merged into the next group, matching
-  // the counter formulation (they sit at counter 0).
-  std::vector<std::size_t> pendingLeftovers;
-
-  while (!stack.empty()) {
-    if (slotsUsed++ >= maxSlots()) {
-      return false;
-    }
-    std::vector<std::size_t> group = std::move(stack.back());
-    stack.pop_back();
-    if (!pendingLeftovers.empty()) {
-      group.insert(group.end(), pendingLeftovers.begin(),
-                   pendingLeftovers.end());
-      pendingLeftovers.clear();
-    }
-
-    responders = group;
-    responders.insert(responders.end(), blockers.begin(), blockers.end());
-    const phy::SlotType detected = engine.runSlot(tags, responders, rng);
-
-    if (detected == phy::SlotType::kCollided) {
-      std::vector<std::size_t> now;
-      std::vector<std::size_t> later;
-      for (const std::size_t idx : group) {
-        if (tags[idx].believesIdentified) continue;
-        (rng.below(2) == 0 ? now : later).push_back(idx);
-      }
-      stack.push_back(std::move(later));
-      stack.push_back(std::move(now));
-    } else {
-      // Readable slot: identified tags already left via the engine; anyone
-      // still unidentified in this group (capture loser) re-contends.
-      for (const std::size_t idx : group) {
-        if (!tags[idx].believesIdentified) {
-          pendingLeftovers.push_back(idx);
-        }
-      }
-      if (stack.empty() && !pendingLeftovers.empty()) {
-        stack.push_back(std::move(pendingLeftovers));
-        pendingLeftovers.clear();
-      }
-    }
-  }
-  return activeTagIndices(tags).empty();
+  return walk_.beginRun(tags, maxSlots()) == 0 ||
+         walk_.depthFirst(engine, tags, rng);
 }
 
 }  // namespace rfid::anticollision

@@ -9,6 +9,7 @@
 #pragma once
 
 #include "anticollision/protocol.hpp"
+#include "anticollision/split_walk.hpp"
 
 namespace rfid::anticollision {
 
@@ -19,6 +20,9 @@ class BinaryTree final : public Protocol {
   std::string name() const override;
   bool run(sim::SlotEngine& engine, std::span<tags::Tag> tags,
            common::Rng& rng) override;
+
+ private:
+  SplitWalk walk_;
 };
 
 }  // namespace rfid::anticollision

@@ -68,15 +68,11 @@ class Protocol {
   static constexpr std::size_t kDefaultMaxSlots = 20'000'000;
 
  protected:
-  /// Indices of tags still contending (honest and not yet silenced).
-  static std::vector<std::size_t> activeTagIndices(
-      std::span<const tags::Tag> tags);
-  /// Indices of blocker tags (they respond in every slot they can hear).
-  static std::vector<std::size_t> blockerIndices(
-      std::span<const tags::Tag> tags);
-  /// In-place variants for per-frame scratch reuse: `out` is cleared and
-  /// refilled, keeping its capacity — after the first frame reaches the
-  /// high-water mark, a frame loop performs no heap allocation here.
+  /// Indices of tags still contending (honest and not yet silenced), and
+  /// of blocker tags (they respond in every slot they can hear). `out` is
+  /// cleared and refilled, keeping its capacity, so a loop that reuses it
+  /// performs no heap allocation here once it has reached its high-water
+  /// mark.
   static void activeTagIndicesInto(std::span<const tags::Tag> tags,
                                    std::vector<std::size_t>& out);
   static void blockerIndicesInto(std::span<const tags::Tag> tags,
@@ -89,8 +85,10 @@ class Protocol {
                                 std::vector<std::size_t>& active);
 
  private:
-  /// FrameBatcher reuses the Into-helpers for its own active/blocker scratch.
+  /// FrameBatcher and SplitWalk reuse the Into-helpers for their own
+  /// active/blocker scratch.
   friend class FrameBatcher;
+  friend class SplitWalk;
 
   std::size_t maxSlots_;
   FrameMode frameMode_ = FrameMode::kBatched;
@@ -163,20 +161,6 @@ class FrameBatcher {
   /// kScalar emitter: per-slot responder lists (honest, then blockers).
   std::vector<std::vector<std::size_t>> buckets_;
 };
-
-inline std::vector<std::size_t> Protocol::activeTagIndices(
-    std::span<const tags::Tag> tags) {
-  std::vector<std::size_t> idx;
-  activeTagIndicesInto(tags, idx);
-  return idx;
-}
-
-inline std::vector<std::size_t> Protocol::blockerIndices(
-    std::span<const tags::Tag> tags) {
-  std::vector<std::size_t> idx;
-  blockerIndicesInto(tags, idx);
-  return idx;
-}
 
 inline void Protocol::activeTagIndicesInto(std::span<const tags::Tag> tags,
                                            std::vector<std::size_t>& out) {

@@ -20,7 +20,8 @@ std::string QAdaptive::name() const { return "Q-Adaptive[C=" + std::to_string(c_
 
 bool QAdaptive::run(sim::SlotEngine& engine, std::span<tags::Tag> tags,
                     common::Rng& rng) {
-  const std::vector<std::size_t> blockers = blockerIndices(tags);
+  std::vector<std::size_t> blockers;
+  blockerIndicesInto(tags, blockers);
   std::vector<std::size_t> responders;
   double qFp = initialQ_;
   std::size_t slotsUsed = 0;
@@ -31,7 +32,8 @@ bool QAdaptive::run(sim::SlotEngine& engine, std::span<tags::Tag> tags,
   // known at frame start. It stays on the scalar runSlot path and ignores
   // Protocol::FrameMode; only the budget-consistent frame accounting below
   // is shared with the batched protocols.
-  std::vector<std::size_t> active = activeTagIndices(tags);
+  std::vector<std::size_t> active;
+  activeTagIndicesInto(tags, active);
   while (!active.empty()) {
     // A round whose budget is already spent starts no frame (and records
     // none) — same accounting as FSA/DFSA (DESIGN.md §5e).
@@ -91,7 +93,7 @@ bool QAdaptive::run(sim::SlotEngine& engine, std::span<tags::Tag> tags,
       --slotsLeft;
       qChanged = static_cast<unsigned>(std::lround(qFp)) != q;
     }
-    active = activeTagIndices(tags);
+    activeTagIndicesInto(tags, active);
   }
   return true;
 }

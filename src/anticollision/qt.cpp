@@ -1,75 +1,26 @@
 #include "anticollision/qt.hpp"
 
-#include <deque>
-
 namespace rfid::anticollision {
 
 QueryTree::QueryTree(std::size_t maxSlots) : Protocol(maxSlots) {}
 
 std::string QueryTree::name() const { return "QT"; }
 
-// Groups carry their members so query slots need not rescan the population;
-// the split at prefix length d keys on ID bit (idBits - d - 1), i.e. the
-// next bit after the prefix.
+// A capture-effect slot can read as single while other tags under the same
+// prefix remain: those tags fall out of the current tree walk. The reader
+// simply walks the tree again — silenced tags stay quiet, the stragglers
+// answer. Walks repeat while they make progress, on one slot budget. The
+// root query is issued even over an empty field: the reader pays one idle
+// slot to learn there is nothing to read.
 bool QueryTree::run(sim::SlotEngine& engine, std::span<tags::Tag> tags,
                     common::Rng& rng) {
-  const std::size_t idBits = engine.scheme().air().idBits;
-  const std::vector<std::size_t> blockers = blockerIndices(tags);
-  std::vector<std::size_t> responders;
-  std::size_t slotsUsed = 0;
-
-  struct Node {
-    Prefix prefix;
-    std::vector<std::size_t> members;
-  };
-
-  // A capture-effect slot can read as single while other tags under the
-  // same prefix remain: those tags fall out of the current tree walk. The
-  // reader simply walks the tree again — silenced tags stay quiet, the
-  // stragglers answer. Loop walks while they make progress.
-  std::vector<std::size_t> active = activeTagIndices(tags);
+  std::size_t contenders = walk_.beginRun(tags, maxSlots());
   for (;;) {
-    // The root query is issued even over an empty field — the reader pays
-    // one idle slot to learn there is nothing to read.
-    std::deque<Node> queue;
-    queue.push_back(Node{Prefix{}, active});
-
-    while (!queue.empty()) {
-      if (slotsUsed++ >= maxSlots()) {
-        return false;
-      }
-      Node node = std::move(queue.front());
-      queue.pop_front();
-
-      responders = node.members;
-      responders.insert(responders.end(), blockers.begin(), blockers.end());
-      const phy::SlotType detected = engine.runSlot(tags, responders, rng);
-
-      if (detected == phy::SlotType::kCollided &&
-          node.prefix.length < idBits) {
-        Node zero{node.prefix.child(0), {}};
-        Node one{node.prefix.child(1), {}};
-        const std::size_t splitBit = idBits - node.prefix.length - 1;
-        for (const std::size_t idx : node.members) {
-          if (tags[idx].believesIdentified) continue;
-          const bool bit = ((tags[idx].idValue >> splitBit) & 1u) != 0;
-          (bit ? one : zero).members.push_back(idx);
-        }
-        queue.push_back(std::move(zero));
-        queue.push_back(std::move(one));
-      }
-      // A collided full-length prefix cannot be split further — with
-      // unique IDs this only happens under jamming; the query is abandoned.
-    }
-
-    std::vector<std::size_t> remaining = activeTagIndices(tags);
-    if (remaining.empty()) {
-      return true;
-    }
-    if (remaining.size() == active.size()) {
-      return false;  // a whole walk made no progress (jamming)
-    }
-    active = std::move(remaining);
+    if (!walk_.breadthFirst(engine, tags, rng)) return false;
+    const std::size_t remaining = walk_.gather(tags);
+    // Done, or a whole walk made no progress (jamming).
+    if (remaining == 0 || remaining == contenders) return remaining == 0;
+    contenders = remaining;
   }
 }
 

@@ -8,28 +8,10 @@
 // observation, reproduced in the adversarial tests).
 #pragma once
 
-#include <cstdint>
-#include <vector>
-
 #include "anticollision/protocol.hpp"
+#include "anticollision/split_walk.hpp"
 
 namespace rfid::anticollision {
-
-/// A query prefix: the most-significant `length` bits of an ID.
-struct Prefix {
-  std::uint64_t value = 0;  ///< right-aligned prefix bits
-  unsigned length = 0;
-
-  bool matches(std::uint64_t id, std::size_t idBits) const noexcept {
-    return length == 0 ||
-           (id >> (idBits - length)) == value;
-  }
-  Prefix child(unsigned bit) const noexcept {
-    return Prefix{(value << 1) | bit, length + 1};
-  }
-  Prefix parent() const noexcept { return Prefix{value >> 1, length - 1}; }
-  bool operator==(const Prefix&) const = default;
-};
 
 class QueryTree final : public Protocol {
  public:
@@ -38,6 +20,9 @@ class QueryTree final : public Protocol {
   std::string name() const override;
   bool run(sim::SlotEngine& engine, std::span<tags::Tag> tags,
            common::Rng& rng) override;
+
+ private:
+  SplitWalk walk_;
 };
 
 }  // namespace rfid::anticollision

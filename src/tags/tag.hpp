@@ -1,8 +1,8 @@
 // The tag model.
 //
 // A tag is passive state: a unique ID plus the per-protocol scratch fields
-// the air protocols manipulate (FSA slot choice, BT/ABS counter, Gen2 Q
-// slot counter). Identification status is tracked from the *tag's* point of
+// the air protocols manipulate (the FSA slot choice, the Gen2 Q slot
+// counter). Identification status is tracked from the *tag's* point of
 // view — a tag that heard an ACK stops responding even if the ACK was the
 // result of a misdetected collision (the phantom-ID failure mode QCD trades
 // for its speed; see core/detection_scheme.hpp).
@@ -30,8 +30,6 @@ struct Tag {
   // --- protocol scratch state -------------------------------------------
   /// FSA/Gen2: chosen slot within the current frame; kSlotSilent = muted.
   std::uint32_t slotChoice = 0;
-  /// BT/ABS: splitting counter (the tag replies when it reaches 0).
-  std::int64_t counter = 0;
 
   // --- identification bookkeeping ---------------------------------------
   /// The tag believes it has been read and stays silent (§III-B).
@@ -51,7 +49,6 @@ struct Tag {
   /// (ID is preserved).
   void resetForRound() {
     slotChoice = 0;
-    counter = 0;
     believesIdentified = false;
     correctlyIdentified = false;
     identifiedAtMicros = 0.0;

@@ -5,7 +5,9 @@
 // `seed + 1`, and std::chrono::steady_clock must be ignored, and the hot
 // functions show growth inside an ALLOC_GUARD_ALLOW scope, a guarded
 // noexcept function, a justified noexcept opt-out, digit separators, a
-// noexcept hot operator, and a justified lint suppression.
+// noexcept hot operator, a guarded function template with a defaulted
+// template argument, a guarded constructor with braced member
+// initializers, and a justified lint suppression.
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -56,6 +58,30 @@ struct Acc {
     word |= bits % kSlots;
     return *this;
   }
+};
+
+// A defaulted template argument: its `=` belongs to the template
+// parameter list, not to an initializer, so this is a function definition.
+template <typename Word = std::uint64_t>
+inline Word firstWord(std::vector<Word>& words, std::size_t n) noexcept {
+  ALLOC_GUARD_HOT();
+  if (words.size() < n) {
+    ALLOC_GUARD_ALLOW("high-water-mark growth; steady state reuses storage");
+    words.resize(n);
+  }
+  return words[0];
+}
+
+// Braced member initializers: the body opens at the brace after the last
+// initializer, not at the one in `cap_{cap}`.
+struct Ring {
+  Ring(std::size_t cap, std::vector<int>& slots) noexcept
+      : cap_{cap}, slots_{slots} {
+    ALLOC_GUARD_HOT();
+    slots_[0] = static_cast<int>(cap_ % kSlots);
+  }
+  std::size_t cap_;
+  std::vector<int>& slots_;
 };
 
 inline long justified(int x) {

@@ -10,9 +10,10 @@
 //
 // The integration tests then drive full DFSA censuses — QCD and CRC-CD,
 // scalar and frame-batched, clean and impaired channels, on one thread
-// and on four pool threads — and assert the process-wide violation count
-// stays zero: every ALLOC_GUARD_HOT() region in the real slot path is
-// allocation-free beyond its sanctioned high-water growth.
+// and on four pool threads — and the tree family's split walks (BT, ABS,
+// QT, AQS), and assert the process-wide violation count stays zero: every
+// ALLOC_GUARD_HOT() region in the real slot path is allocation-free beyond
+// its sanctioned high-water growth.
 //
 // Everything is gated on AllocGuard::enforced(): in default builds the
 // operator new/delete hooks are not linked and the counters never move,
@@ -28,8 +29,12 @@
 #include <thread>
 #include <vector>
 
+#include "anticollision/abs.hpp"
+#include "anticollision/aqs.hpp"
+#include "anticollision/bt.hpp"
 #include "anticollision/dfsa.hpp"
 #include "anticollision/protocol.hpp"
+#include "anticollision/qt.hpp"
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
 #include "core/detection_scheme.hpp"
@@ -43,6 +48,7 @@
 
 namespace {
 
+using rfid::anticollision::Protocol;
 using rfid::common::AllocGuard;
 using rfid::common::AllocGuardAllow;
 using rfid::common::Rng;
@@ -179,11 +185,18 @@ TEST(AllocGuardUnit, GuardsAreThreadLocal) {
 
 enum class ChannelKind { kClean, kImpaired };
 
-/// One full census: DFSA/Schoute over `tagCount` tags, one warmup round to
-/// reach the high-water marks, then `rounds` measured rounds. Returns the
-/// process violation count delta is asserted by the caller; this just runs.
-void runCensus(const rfid::core::DetectionScheme& scheme,
-               rfid::anticollision::Protocol::FrameMode mode,
+/// DFSA/Schoute, emitting its frames in `mode`.
+std::unique_ptr<Protocol> dfsa(Protocol::FrameMode mode) {
+  auto protocol = std::make_unique<rfid::anticollision::DynamicFsa>(
+      rfid::anticollision::EstimatorKind::kSchoute, /*initialFrame=*/64);
+  protocol->setFrameMode(mode);
+  return protocol;
+}
+
+/// Three full censuses by one `protocol` instance over `tagCount` tags: the
+/// first reaches the high-water marks, the others reuse them. The caller
+/// asserts on the process violation count; this just runs.
+void runCensus(Protocol& protocol, const rfid::core::DetectionScheme& scheme,
                ChannelKind channelKind, std::size_t tagCount,
                std::uint64_t seed) {
   Rng setupRng(seed);
@@ -204,9 +217,6 @@ void runCensus(const rfid::core::DetectionScheme& scheme,
   rfid::sim::Metrics metrics;
   metrics.reserveIdentifications(8 * tagCount);
   rfid::sim::SlotEngine engine(scheme, *channel, metrics);
-  rfid::anticollision::DynamicFsa protocol(
-      rfid::anticollision::EstimatorKind::kSchoute, /*initialFrame=*/64);
-  protocol.setFrameMode(mode);
   rfid::sim::TagSoA soa;
   soa.gather(tags, scheme);
   Rng rng(seed);
@@ -238,27 +248,46 @@ class AllocGuardCensus : public ::testing::Test {
 
 TEST_F(AllocGuardCensus, QcdScalarAndBatchedSingleThread) {
   const rfid::core::QcdScheme qcd(air_, 8);
-  runCensus(qcd, rfid::anticollision::Protocol::FrameMode::kScalar,
-            ChannelKind::kClean, /*tagCount=*/400, /*seed=*/20100913);
-  runCensus(qcd, rfid::anticollision::Protocol::FrameMode::kBatched,
-            ChannelKind::kClean, /*tagCount=*/400, /*seed=*/20100913);
+  runCensus(*dfsa(Protocol::FrameMode::kScalar), qcd, ChannelKind::kClean,
+            /*tagCount=*/400, /*seed=*/20100913);
+  runCensus(*dfsa(Protocol::FrameMode::kBatched), qcd, ChannelKind::kClean,
+            /*tagCount=*/400, /*seed=*/20100913);
 }
 
 TEST_F(AllocGuardCensus, CrcScalarAndBatchedSingleThread) {
   const rfid::core::CrcCdScheme crc(air_);
-  runCensus(crc, rfid::anticollision::Protocol::FrameMode::kScalar,
-            ChannelKind::kClean, /*tagCount=*/400, /*seed=*/20100913);
-  runCensus(crc, rfid::anticollision::Protocol::FrameMode::kBatched,
-            ChannelKind::kClean, /*tagCount=*/400, /*seed=*/20100913);
+  runCensus(*dfsa(Protocol::FrameMode::kScalar), crc, ChannelKind::kClean,
+            /*tagCount=*/400, /*seed=*/20100913);
+  runCensus(*dfsa(Protocol::FrameMode::kBatched), crc, ChannelKind::kClean,
+            /*tagCount=*/400, /*seed=*/20100913);
 }
 
 TEST_F(AllocGuardCensus, ImpairedChannelSingleThread) {
   const rfid::core::QcdScheme qcd(air_, 8);
   const rfid::core::CrcCdScheme crc(air_);
-  runCensus(qcd, rfid::anticollision::Protocol::FrameMode::kScalar,
-            ChannelKind::kImpaired, /*tagCount=*/300, /*seed=*/7);
-  runCensus(crc, rfid::anticollision::Protocol::FrameMode::kBatched,
-            ChannelKind::kImpaired, /*tagCount=*/300, /*seed=*/7);
+  runCensus(*dfsa(Protocol::FrameMode::kScalar), qcd, ChannelKind::kImpaired,
+            /*tagCount=*/300, /*seed=*/7);
+  runCensus(*dfsa(Protocol::FrameMode::kBatched), crc, ChannelKind::kImpaired,
+            /*tagCount=*/300, /*seed=*/7);
+}
+
+TEST_F(AllocGuardCensus, TreeWalkersSingleThread) {
+  // Depth-first (BT, ABS) and breadth-first (QT, AQS) walks, clean and
+  // impaired; ABS and AQS also carry their reservations and candidates
+  // from round to round.
+  const rfid::core::QcdScheme qcd(air_, 8);
+  const rfid::core::CrcCdScheme crc(air_);
+  rfid::anticollision::BinaryTree bt;
+  rfid::anticollision::AdaptiveBinarySplitting abs;
+  rfid::anticollision::QueryTree qt;
+  rfid::anticollision::AdaptiveQuerySplitting aqs;
+  Protocol* const trees[] = {&bt, &abs, &qt, &aqs};
+  for (Protocol* protocol : trees) {
+    runCensus(*protocol, qcd, ChannelKind::kClean, /*tagCount=*/300,
+              /*seed=*/11);
+    runCensus(*protocol, crc, ChannelKind::kImpaired, /*tagCount=*/300,
+              /*seed=*/12);
+  }
 }
 
 TEST_F(AllocGuardCensus, FourPoolThreadsStayGuardClean) {
@@ -275,10 +304,9 @@ TEST_F(AllocGuardCensus, FourPoolThreadsStayGuardClean) {
           (worker % 2 == 0)
               ? static_cast<const rfid::core::DetectionScheme&>(qcd)
               : crc;
-      runCensus(scheme,
-                (worker / 2 == 0)
-                    ? rfid::anticollision::Protocol::FrameMode::kScalar
-                    : rfid::anticollision::Protocol::FrameMode::kBatched,
+      runCensus(*dfsa((worker / 2 == 0) ? Protocol::FrameMode::kScalar
+                                        : Protocol::FrameMode::kBatched),
+                scheme,
                 (worker % 2 == 0) ? ChannelKind::kClean
                                   : ChannelKind::kImpaired,
                 /*tagCount=*/250,

@@ -129,7 +129,7 @@ bool tagsEqual(const std::vector<Tag>& a, const std::vector<Tag>& b) {
     if (a[i].believesIdentified != b[i].believesIdentified ||
         a[i].correctlyIdentified != b[i].correctlyIdentified ||
         a[i].identifiedAtMicros != b[i].identifiedAtMicros ||
-        a[i].slotChoice != b[i].slotChoice || a[i].counter != b[i].counter) {
+        a[i].slotChoice != b[i].slotChoice) {
       return false;
     }
   }

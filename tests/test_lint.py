@@ -39,6 +39,7 @@ EXPECTED = {
     "src/sim/engine_batch.cpp": "RFID-HOT-006",
     "src/sim/seed_arith.cpp": "RFID-SEED-007",
     "src/core/hot_throw.cpp": "RFID-EXC-008",
+    "src/core/hot_throw_template.cpp": "RFID-EXC-008",
     "src/core/hot_operator.cpp": "RFID-EXC-008",
     "src/sim/time_clock.cpp": "RFID-TIME-009",
 }

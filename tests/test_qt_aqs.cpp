@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "helpers.hpp"
+#include "phy/channel.hpp"
 #include "tags/population.hpp"
 
 namespace {
@@ -25,16 +26,6 @@ void resetRound(std::vector<rfid::tags::Tag>& tags) {
   for (auto& t : tags) {
     t.resetForRound();
   }
-}
-
-TEST(Prefix, Matching) {
-  // 8-bit IDs; prefix 0b101 of length 3 matches IDs starting 101…
-  const Prefix p{0b101, 3};
-  EXPECT_TRUE(p.matches(0b10100000, 8));
-  EXPECT_TRUE(p.matches(0b10111111, 8));
-  EXPECT_FALSE(p.matches(0b10011111, 8));
-  const Prefix root{0, 0};
-  EXPECT_TRUE(root.matches(0xFF, 8));
 }
 
 TEST(Prefix, ChildrenAndParent) {
@@ -167,6 +158,23 @@ TEST(QtAndAqs, CapAborts) {
   Harness h2(100, 63);
   AdaptiveQuerySplitting aqs(/*maxSlots=*/3);
   EXPECT_FALSE(aqs.run(h2.engine, h2.tags, h2.rng));
+
+  // Under capture, losers fall out of a walk and both protocols walk again;
+  // every walk of one run draws on the run's one slot budget.
+  const auto captureHarness = [] {
+    return Harness(100, 2,
+                   std::make_unique<rfid::core::CrcCdScheme>(
+                       rfid::phy::AirInterface{}),
+                   std::make_unique<rfid::phy::CaptureChannel>(0.5));
+  };
+  Harness h3 = captureHarness();
+  QueryTree cappedQt(/*maxSlots=*/50);
+  EXPECT_FALSE(cappedQt.run(h3.engine, h3.tags, h3.rng));
+  EXPECT_LE(h3.metrics.detectedCensus().total(), 50u);
+  Harness h4 = captureHarness();
+  AdaptiveQuerySplitting cappedAqs(/*maxSlots=*/50);
+  EXPECT_FALSE(cappedAqs.run(h4.engine, h4.tags, h4.rng));
+  EXPECT_LE(h4.metrics.detectedCensus().total(), 50u);
 }
 
 }  // namespace
