@@ -167,8 +167,6 @@ RULES: tuple[Rule, ...] = (
             "src/crc/crc.cpp",
             "src/phy/channel.cpp",
             "src/anticollision/protocol.cpp",
-            "src/anticollision/fsa.cpp",
-            "src/anticollision/dfsa.cpp",
         ),
     ),
     Rule(

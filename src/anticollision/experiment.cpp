@@ -138,8 +138,8 @@ AggregateResult runExperiment(const ExperimentConfig& config) {
         engine.setRecoveryPolicy(config.recovery);
         engine.setObserver(config.observer);
         // One SoA snapshot per round, shared by the initial census and
-        // every recovery pass (blocker flags and IDs are round-constant;
-        // the batch kernel never reads the mutable columns).
+        // every recovery pass (it holds only blocker flags and ID-derived
+        // signals, which are round-constant).
         sim::TagSoA soa;
         soa.gather(population, *scheme);
         protocol->setFrameMode(config.frameMode);

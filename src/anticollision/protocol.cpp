@@ -1,17 +1,20 @@
-// FrameBatcher: the one frame emitter of FSA and DFSA.
+// FramedAloha: the one frame loop of FSA and DFSA; FrameBatcher: its
+// frame emitter.
 //
 // Each frame is one sequence of slot draws, in ascending tag order, and
 // one of two emitters. The per-slot reference emitter (FrameMode::kScalar)
 // buckets the draws into per-slot vectors, appends the blockers, and feeds
 // runSlot one slot at a time. The batched emitter produces the identical
 // responder sequence via a two-pass counting sort into flat CSR arrays,
-// then hands the whole frame to the engine in one runSlotsBatchBlockers
-// call. The two stay separate code so the differential tests in
-// tests/test_frame_batch.cpp compare independent renderings; bit-identity
-// is inherited from the engine's batch contract.
+// each row's blocker tail reserved, then hands the whole frame to the
+// engine in one runSlotsBatch call. The two stay separate code so the
+// differential tests in tests/test_frame_batch.cpp compare independent
+// renderings; bit-identity is inherited from the engine's batch contract.
 #include "anticollision/protocol.hpp"
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
 
 #include "common/alloc_guard.hpp"
 #include "common/require.hpp"
@@ -46,8 +49,8 @@ std::span<const std::size_t> FrameBatcher::gatherActive(
   return active_;
 }
 
-// rfid:noexcept-allow: the beginRound-ordering and frame-prefix REQUIREs
-// are test-pinned API contracts
+// rfid:noexcept-allow: the beginRound-ordering, frame-prefix and 32-bit CSR
+// REQUIREs are test-pinned API contracts
 std::span<const phy::SlotType> FrameBatcher::runFrame(
     sim::SlotEngine& engine, std::span<tags::Tag> tags, std::size_t frameSize,
     std::size_t slotsToRun, common::Rng& rng) {
@@ -55,6 +58,15 @@ std::span<const phy::SlotType> FrameBatcher::runFrame(
   RFID_REQUIRE(soa_ != nullptr, "beginRound must precede runFrame");
   RFID_REQUIRE(slotsToRun >= 1 && slotsToRun <= frameSize,
                "frame prefix must be non-empty and within the frame");
+  // The rows hold at most every active tag plus slotsToRun blocker tails;
+  // bound that before any scratch grows for it.
+  const std::size_t nActive = active_.size();
+  const std::size_t nBlockers = blockers_.size();
+  constexpr std::size_t kMaxRows = std::numeric_limits<std::uint32_t>::max();
+  RFID_REQUIRE(nActive <= kMaxRows &&
+                   (nBlockers == 0 ||
+                    slotsToRun <= (kMaxRows - nActive) / nBlockers),
+               "frame batch exceeds 32-bit CSR indexing");
   if (detected_.size() < slotsToRun) {
     ALLOC_GUARD_ALLOW("high-water-mark growth; steady state reuses storage");
     detected_.resize(slotsToRun);
@@ -86,7 +98,6 @@ std::span<const phy::SlotType> FrameBatcher::runFrame(
     return {detected_.data(), slotsToRun};
   }
 
-  const std::size_t nActive = active_.size();
   if (counts_.size() < slotsToRun) {
     ALLOC_GUARD_ALLOW("high-water-mark growth; steady state reuses storage");
     counts_.resize(slotsToRun);
@@ -114,15 +125,17 @@ std::span<const phy::SlotType> FrameBatcher::runFrame(
     }
   }
 
-  // Prefix-sum the counts into CSR row offsets.
+  // Prefix-sum the counts into CSR row offsets, each row sized for its
+  // honest drawers plus the blocker tail.
+  const auto tail = static_cast<std::uint32_t>(nBlockers);
   offsets_[0] = 0;
   for (std::size_t s = 0; s < slotsToRun; ++s) {
-    offsets_[s + 1] = offsets_[s] + counts_[s];
+    offsets_[s + 1] = offsets_[s] + counts_[s] + tail;
   }
-  const std::size_t nHonest = offsets_[slotsToRun];
-  if (responders_.size() < nHonest) {
+  const std::size_t nRows = offsets_[slotsToRun];
+  if (responders_.size() < nRows) {
     ALLOC_GUARD_ALLOW("high-water-mark growth; steady state reuses storage");
-    responders_.resize(nHonest);
+    responders_.resize(nRows);
   }
 
   // Pass 2 — stable placement: walking the active set in ascending tag
@@ -137,12 +150,69 @@ std::span<const phy::SlotType> FrameBatcher::runFrame(
       responders_[counts_[slot]++] = static_cast<std::uint32_t>(active_[k]);
     }
   }
+  // Each cursor now stops at its row's tail: the blockers, in the order
+  // the reference emitter appends them.
+  if (tail != 0) {
+    for (std::size_t s = 0; s < slotsToRun; ++s) {
+      std::uint32_t w = counts_[s];
+      for (const std::size_t b : blockers_) {
+        responders_[w++] = static_cast<std::uint32_t>(b);
+      }
+    }
+  }
 
-  const sim::SlotBatch honest{{responders_.data(), nHonest},
-                              {offsets_.data(), slotsToRun + 1}};
-  engine.runSlotsBatchBlockers(tags, *soa_, honest, blockers_, rng,
-                               {detected_.data(), slotsToRun});
+  engine.runSlotsBatch(tags, *soa_,
+                       {{responders_.data(), nRows},
+                        {offsets_.data(), slotsToRun + 1}},
+                       rng, {detected_.data(), slotsToRun});
   return {detected_.data(), slotsToRun};
+}
+
+bool FramedAloha::run(sim::SlotEngine& engine, std::span<tags::Tag> tags,
+                      common::Rng& rng) {
+  return runFrames(engine, tags, rng, nullptr);
+}
+
+bool FramedAloha::runWithSnapshot(sim::SlotEngine& engine,
+                                  std::span<tags::Tag> tags, common::Rng& rng,
+                                  const sim::TagSoA& soa) {
+  return runFrames(engine, tags, rng, &soa);
+}
+
+// rfid:noexcept-allow: beginRound and runFrame carry test-pinned REQUIREs
+bool FramedAloha::runFrames(sim::SlotEngine& engine, std::span<tags::Tag> tags,
+                            common::Rng& rng, const sim::TagSoA* soa) {
+  batcher_.beginRound(tags, engine, soa, frameMode());
+  // beginRound's private snapshot gather may allocate; the frames may not.
+  ALLOC_GUARD_HOT();
+
+  // The reader cannot observe the ground truth, so it keeps launching
+  // frames until one passes with no response at all — that terminal
+  // all-idle frame is part of the identification cost (and is visible in
+  // the paper's Table VII idle counts). Frames started with the budget
+  // already spent never run and are not counted; a frame truncated by the
+  // budget aborts before nextFrame sees its verdicts (DESIGN.md §5e).
+  std::size_t frameSize = firstFrame_;
+  std::size_t slotsUsed = 0;
+  for (;;) {
+    if (slotsUsed >= maxSlots()) {
+      return false;
+    }
+    const std::size_t slotsToRun = std::min(frameSize, maxSlots() - slotsUsed);
+    engine.metrics().recordFrame();
+    const bool anyResponse = !batcher_.gatherActive(tags).empty() ||
+                             !batcher_.blockers().empty();
+    const std::span<const phy::SlotType> verdicts =
+        batcher_.runFrame(engine, tags, frameSize, slotsToRun, rng);
+    slotsUsed += slotsToRun;
+    if (slotsToRun < frameSize) {
+      return false;  // budget exhausted mid-frame
+    }
+    if (!anyResponse) {
+      return true;
+    }
+    frameSize = nextFrame(verdicts);
+  }
 }
 
 }  // namespace rfid::anticollision

@@ -1,10 +1,15 @@
-// Anti-collision protocol interface.
+// Anti-collision protocol interface, and the framed-ALOHA base that FSA
+// and DFSA share.
 //
 // A protocol decides which tags respond in which slot; everything below
 // that decision (contention signal, channel superposition, classification,
 // airtime, identification handshakes) is the SlotEngine's job. This split is
 // what lets every protocol run unchanged under CRC-CD, QCD or the ideal
 // oracle — the paper's compatibility claim (§I).
+//
+// The framed protocols go one step further: FramedAloha runs the one frame
+// loop, FrameBatcher renders each frame, and a protocol only sizes the
+// next frame.
 #pragma once
 
 #include <span>
@@ -94,7 +99,7 @@ class Protocol {
   FrameMode frameMode_ = FrameMode::kBatched;
 };
 
-/// The frame emitter of the framed-ALOHA protocols (FSA/DFSA).
+/// The frame emitter of the framed-ALOHA protocols (FramedAloha).
 ///
 /// One instance lives on the protocol and is reused across frames and
 /// runs: every vector grows to a high-water mark only, so steady-state
@@ -103,10 +108,11 @@ class Protocol {
 /// slot's responders are its honest drawers in that order with every
 /// blocker appended. Two emitters feed those slots to the engine, chosen
 /// by the mode passed to beginRound: kBatched renders the whole frame as
-/// one CSR sim::SlotBatch by counting sort, kScalar buckets the draws and
-/// calls runSlot once per slot. The engine's equivalence contract
-/// (DESIGN.md §5d) makes the two bit-identical: same RNG consumption
-/// order, same metrics, same observer events, same tag state.
+/// one CSR sim::SlotBatch by counting sort (every row reserving its
+/// blocker tail); kScalar buckets the draws and calls runSlot once per
+/// slot. The engine's equivalence contract (DESIGN.md §5d) makes the two
+/// bit-identical: same RNG consumption order, same metrics, same observer
+/// events, same tag state.
 class FrameBatcher {
  public:
   /// Caches the blocker set, selects the round's emitter, and binds the SoA
@@ -133,10 +139,12 @@ class FrameBatcher {
   /// committed to tags[idx].slotChoice and contend (budget-truncated frames
   /// run only that prefix — a tag whose slot never runs keeps its previous
   /// slotChoice and stays active). In kBatched mode the CSR batch goes
-  /// through SlotEngine::runSlotsBatchBlockers, in kScalar mode each slot
-  /// through runSlot; the returned span holds the slotsToRun effective
-  /// per-slot verdicts (the runSlot return values), valid until the next
-  /// runFrame call.
+  /// through SlotEngine::runSlotsBatch, in kScalar mode each slot through
+  /// runSlot; the returned span holds the slotsToRun effective per-slot
+  /// verdicts (the runSlot return values), valid until the next runFrame
+  /// call. Throws PreconditionError, before any scratch grows, when the
+  /// frame's rows (every active tag plus slotsToRun × the blockers) could
+  /// overflow the batch's 32-bit CSR indexing.
   std::span<const phy::SlotType> runFrame(sim::SlotEngine& engine,
                                           std::span<tags::Tag> tags,
                                           std::size_t frameSize,
@@ -155,11 +163,46 @@ class FrameBatcher {
   std::vector<std::uint32_t> draws_;
   /// Per-slot honest responder counts, then reused as placement cursors.
   std::vector<std::uint32_t> counts_;
+  /// The frame's CSR rows: each slot's honest drawers, then the blockers.
   std::vector<std::uint32_t> responders_;
   std::vector<std::uint32_t> offsets_;
   std::vector<phy::SlotType> detected_;
   /// kScalar emitter: per-slot responder lists (honest, then blockers).
   std::vector<std::vector<std::size_t>> buckets_;
+};
+
+/// The framed-ALOHA family (§III-A; Lee et al.'s DFSA, §II): the reader
+/// announces a frame of F slots, every unidentified tag draws one slot
+/// uniformly and transmits there, and collided tags re-contend in the next
+/// frame. The members differ only in how they size the next frame, so
+/// this base owns the one frame loop and its FrameBatcher, and a protocol
+/// supplies the first frame size and nextFrame().
+class FramedAloha : public Protocol {
+ public:
+  bool run(sim::SlotEngine& engine, std::span<tags::Tag> tags,
+           common::Rng& rng) final;
+  bool runWithSnapshot(sim::SlotEngine& engine, std::span<tags::Tag> tags,
+                       common::Rng& rng, const sim::TagSoA& soa) final;
+
+ protected:
+  FramedAloha(std::size_t firstFrame, std::size_t maxSlots)
+      : Protocol(maxSlots), firstFrame_(firstFrame) {}
+
+  /// The size of every round's first frame.
+  std::size_t firstFrame() const noexcept { return firstFrame_; }
+
+  /// The size of the frame that follows a whole frame whose effective
+  /// per-slot verdicts are `verdicts` (one per slot, so verdicts.size() is
+  /// that frame's size). Called only after a frame that drew a response.
+  virtual std::size_t nextFrame(
+      std::span<const phy::SlotType> verdicts) const = 0;
+
+ private:
+  bool runFrames(sim::SlotEngine& engine, std::span<tags::Tag> tags,
+                 common::Rng& rng, const sim::TagSoA* soa);
+
+  std::size_t firstFrame_;
+  FrameBatcher batcher_;
 };
 
 inline void Protocol::activeTagIndicesInto(std::span<const tags::Tag> tags,

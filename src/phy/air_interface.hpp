@@ -7,7 +7,8 @@ namespace rfid::phy {
 
 /// Physical-layer parameters of the paper's evaluation (§VI-A): 64-bit EPC
 /// IDs, 32-bit CRC codes, and τ — the time to transmit one bit — which the
-/// paper leaves abstract; Figs. 7(a)/(b) are consistent with τ = 1 µs.
+/// paper leaves abstract; Figs. 7(a)/(b) are consistent with τ = 1 µs. The
+/// defaults are the configuration of the paper's simulations (Table V).
 struct AirInterface {
   std::size_t idBits = 64;   ///< tag ID length l_id
   unsigned crcBits = 32;     ///< CRC code length l_crc (CRC-CD only)
@@ -15,8 +16,5 @@ struct AirInterface {
 
   double bitsToMicros(double bits) const noexcept { return bits * tauMicros; }
 };
-
-/// The configuration of the paper's simulations (Table V).
-inline AirInterface epcAir() { return AirInterface{}; }
 
 }  // namespace rfid::phy

@@ -66,6 +66,7 @@ InventoryService::InventoryService(ServiceConfig config)
     queueDepthGauge_ = &reg.gauge("service.queue_depth");
     acceptedCounter_ = &reg.counter("service.accepted");
     completedCounter_ = &reg.counter("service.completed");
+    failedCounter_ = &reg.counter("service.failed");
     rejectedQueueFullCounter_ = &reg.counter("service.rejected_queue_full");
     rejectedDeadlineCounter_ = &reg.counter("service.rejected_deadline");
     queueWaitHist_ =
@@ -228,8 +229,7 @@ void InventoryService::process(Job job) {
   if (job.hasDeadline && dequeued > job.deadline) {
     response.outcome = CensusOutcome::kRejectedDeadlineExceeded;
     job.promise.set_value(std::move(response));
-    noteFinished(CensusOutcome::kRejectedDeadlineExceeded, queueWaitMicros,
-                 0.0);
+    noteFinished(Finish::kExpired, queueWaitMicros, 0.0);
     return;
   }
 
@@ -240,31 +240,40 @@ void InventoryService::process(Job job) {
     response.serviceMicros = microsBetween(dequeued, Clock::now());
     const double serviceMicros = response.serviceMicros;
     job.promise.set_value(std::move(response));
-    noteFinished(CensusOutcome::kCompleted, queueWaitMicros, serviceMicros);
+    noteFinished(Finish::kCompleted, queueWaitMicros, serviceMicros);
   } catch (...) {
-    // A failed census still counts as finished (drain must not hang); the
-    // client sees the exception through the future.
+    // A failed census still counts as finished (drain must not hang), as a
+    // failure rather than a completion; the client sees the exception
+    // through the future.
     job.promise.set_exception(std::current_exception());
-    noteFinished(CensusOutcome::kCompleted, queueWaitMicros, 0.0);
+    noteFinished(Finish::kFailed, queueWaitMicros, 0.0);
   }
 }
 
-void InventoryService::noteFinished(CensusOutcome outcome,
-                                    double queueWaitMicros,
+void InventoryService::noteFinished(Finish finish, double queueWaitMicros,
                                     double serviceMicros) {
   {
     std::lock_guard lock(mutex_);
     ++finished_;
-    if (outcome == CensusOutcome::kRejectedDeadlineExceeded) {
-      ++counters_.rejectedDeadline;
-      if (rejectedDeadlineCounter_ != nullptr) rejectedDeadlineCounter_->add();
-    } else {
-      ++counters_.completed;
-      if (completedCounter_ != nullptr) completedCounter_->add();
-      latency_.serviceMicros.add(serviceMicros);
-      if (serviceTimeHist_ != nullptr) {
-        serviceTimeHist_->record(serviceMicros);
-      }
+    switch (finish) {
+      case Finish::kExpired:
+        ++counters_.rejectedDeadline;
+        if (rejectedDeadlineCounter_ != nullptr) {
+          rejectedDeadlineCounter_->add();
+        }
+        break;
+      case Finish::kFailed:
+        ++counters_.failed;
+        if (failedCounter_ != nullptr) failedCounter_->add();
+        break;
+      case Finish::kCompleted:
+        ++counters_.completed;
+        if (completedCounter_ != nullptr) completedCounter_->add();
+        latency_.serviceMicros.add(serviceMicros);
+        if (serviceTimeHist_ != nullptr) {
+          serviceTimeHist_->record(serviceMicros);
+        }
+        break;
     }
     latency_.queueWaitMicros.add(queueWaitMicros);
     if (queueWaitHist_ != nullptr) queueWaitHist_->record(queueWaitMicros);

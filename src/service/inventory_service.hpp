@@ -24,7 +24,7 @@
 //   the destructor does close() + join.
 //
 // Observability: pass a MetricsRegistry to receive service.* counters
-// (accepted/completed/rejections), the service.queue_depth gauge, and
+// (accepted/completed/failed/rejections), the service.queue_depth gauge, and
 // queue-wait / service-time histograms. Instrument updates are serialized
 // by an internal mutex (the registry's record path itself is
 // single-threaded by design); read the registry only when the service is
@@ -65,6 +65,9 @@ struct ServiceCounters {
   std::uint64_t submitted = 0;
   std::uint64_t accepted = 0;
   std::uint64_t completed = 0;
+  /// Accepted requests whose census threw (the client's future carries the
+  /// exception). Finished, but neither completed nor rejected.
+  std::uint64_t failed = 0;
   std::uint64_t rejectedQueueFull = 0;
   std::uint64_t rejectedDeadline = 0;
   std::uint64_t rejectedShutdown = 0;
@@ -104,8 +107,8 @@ class InventoryService {
   void drain();
 
   /// A request's future resolves before its finished-side bookkeeping
-  /// ticks, so completed/rejectedDeadline are only guaranteed to reflect a
-  /// resolved future after drain(). Submit-side counters (submitted,
+  /// ticks, so completed/failed/rejectedDeadline are only guaranteed to
+  /// reflect a resolved future after drain(). Submit-side counters (submitted,
   /// accepted, rejectedQueueFull, rejectedShutdown, maxQueueDepth) are
   /// final as soon as submit() returns.
   ServiceCounters counters() const;
@@ -113,7 +116,6 @@ class InventoryService {
   /// Instantaneous total queued depth across shards.
   std::size_t queueDepth() const;
 
-  unsigned shardCount() const noexcept { return config_.shards; }
   unsigned workerCount() const noexcept {
     return config_.shards * config_.workersPerShard;
   }
@@ -138,7 +140,10 @@ class InventoryService {
   std::size_t queuedTotal() const;
   void shardLoop(std::size_t shard);
   void process(Job job);
-  void noteFinished(CensusOutcome outcome, double queueWaitMicros,
+  /// How an accepted request finished; only a completed one records a
+  /// service-time sample.
+  enum class Finish { kCompleted, kFailed, kExpired };
+  void noteFinished(Finish finish, double queueWaitMicros,
                     double serviceMicros);
 
   ServiceConfig config_;
@@ -151,13 +156,14 @@ class InventoryService {
   ServiceCounters counters_;
   LatencySnapshot latency_;
   std::uint64_t nextId_ = 0;
-  std::uint64_t finished_ = 0;   ///< completed + rejectedDeadline
+  std::uint64_t finished_ = 0;   ///< completed + failed + rejectedDeadline
   bool closed_ = false;
 
   // Instruments resolved once at construction (null when no registry).
   common::Gauge* queueDepthGauge_ = nullptr;
   common::Counter* acceptedCounter_ = nullptr;
   common::Counter* completedCounter_ = nullptr;
+  common::Counter* failedCounter_ = nullptr;
   common::Counter* rejectedQueueFullCounter_ = nullptr;
   common::Counter* rejectedDeadlineCounter_ = nullptr;
   common::Histogram* queueWaitHist_ = nullptr;

@@ -98,24 +98,15 @@ class SlotEngine {
   /// back to slot-exact runSlot calls. `soa` must be a gather() of `tags`
   /// under this engine's scheme. `detectedOut`, when non-empty, must hold
   /// slotCount() entries and receives each slot's effective type (the
-  /// runSlot return value).
+  /// runSlot return value). A malformed batch (offsets that do not span
+  /// `responders` monotonically, an out-of-range responder, a mis-sized
+  /// `detectedOut`, a snapshot of another population) throws
+  /// PreconditionError before any slot runs. This is the engine's only
+  /// batch entry: FrameBatcher renders each frame, blockers included, as
+  /// one such batch.
   void runSlotsBatch(std::span<tags::Tag> tags, const TagSoA& soa,
                      const SlotBatch& batch, common::Rng& rng,
                      std::span<phy::SlotType> detectedOut = {});
-
-  /// Frame-emission entry for the protocol layer: slot s's responders are
-  /// honest.responders[honest.offsets[s] .. honest.offsets[s+1]) followed
-  /// by every index in `blockers` — the "bucket + appended blockers" order
-  /// FrameBatcher's per-slot reference emitter feeds runSlot. With no
-  /// blockers the honest CSR is forwarded to runSlotsBatch as-is (zero
-  /// copies); otherwise the blocker-appended rows are materialized into
-  /// engine-owned scratch, grown at high-water marks only. Bit-identity
-  /// with the scalar loop carries over from runSlotsBatch.
-  void runSlotsBatchBlockers(std::span<tags::Tag> tags, const TagSoA& soa,
-                             const SlotBatch& honest,
-                             std::span<const std::size_t> blockers,
-                             common::Rng& rng,
-                             std::span<phy::SlotType> detectedOut = {});
 
   const core::DetectionScheme& scheme() const noexcept { return scheme_; }
   Metrics& metrics() noexcept { return metrics_; }
@@ -128,7 +119,6 @@ class SlotEngine {
     recovery_ = policy;
     verifyMicros_ = scheme_.air().bitsToMicros(policy.verifyBits);
   }
-  const RecoveryPolicy& recoveryPolicy() const noexcept { return recovery_; }
 
  private:
   /// Everything after classification, for runSlot and the packed kernel
@@ -174,9 +164,6 @@ class SlotEngine {
   std::vector<std::uint64_t> batchAccWords_;
   std::vector<phy::SlotType> batchVerdicts_;
   std::vector<std::size_t> batchResponders_;
-  /// runSlotsBatchBlockers scratch: the blocker-appended CSR rows.
-  std::vector<std::uint32_t> batchRowResponders_;
-  std::vector<std::uint32_t> batchRowOffsets_;
 };
 
 }  // namespace rfid::sim

@@ -25,7 +25,6 @@
 // drives runSlot per slot, so runSlotsBatch is *always* bit-identical to
 // the scalar loop and the fast path is purely an optimization.
 #include <cstdint>
-#include <limits>
 
 #include "common/alloc_guard.hpp"
 #include "common/require.hpp"
@@ -141,51 +140,6 @@ void SlotEngine::runSlotsBatch(std::span<tags::Tag> tags, const TagSoA& soa,
            soa.signalWords() == scheme_.contentionWords()),
       "SoA snapshot was not gathered under this engine's scheme");
   runSlotsBatchPacked(tags, soa, batch, rng, detectedOut);
-}
-
-// rfid:noexcept-allow: forwards to runSlotsBatch (the throwing validation
-// boundary) and carries the test-pinned 32-bit CSR overflow REQUIRE
-void SlotEngine::runSlotsBatchBlockers(std::span<tags::Tag> tags,
-                                       const TagSoA& soa,
-                                       const SlotBatch& honest,
-                                       std::span<const std::size_t> blockers,
-                                       common::Rng& rng,
-                                       std::span<SlotType> detectedOut) {
-  ALLOC_GUARD_HOT();
-  if (blockers.empty()) {
-    // No per-slot append needed: the honest CSR *is* the batch.
-    runSlotsBatch(tags, soa, honest, rng, detectedOut);
-    return;
-  }
-  const std::size_t slots = honest.slotCount();
-  const std::size_t total =
-      honest.responders.size() + slots * blockers.size();
-  RFID_REQUIRE(total <= std::numeric_limits<std::uint32_t>::max(),
-               "blocker-appended batch exceeds 32-bit CSR indexing");
-  if (batchRowResponders_.size() < total) {
-    ALLOC_GUARD_ALLOW("high-water-mark growth; steady state reuses storage");
-    batchRowResponders_.resize(total);
-  }
-  if (batchRowOffsets_.size() < slots + 1) {
-    ALLOC_GUARD_ALLOW("high-water-mark growth; steady state reuses storage");
-    batchRowOffsets_.resize(slots + 1);
-  }
-  std::size_t w = 0;
-  batchRowOffsets_[0] = 0;
-  for (std::size_t s = 0; s < slots; ++s) {
-    for (std::uint32_t k = honest.offsets[s]; k < honest.offsets[s + 1];
-         ++k) {
-      batchRowResponders_[w++] = honest.responders[k];
-    }
-    for (const std::size_t b : blockers) {
-      batchRowResponders_[w++] = static_cast<std::uint32_t>(b);
-    }
-    batchRowOffsets_[s + 1] = static_cast<std::uint32_t>(w);
-  }
-  runSlotsBatch(tags, soa,
-                {{batchRowResponders_.data(), w},
-                 {batchRowOffsets_.data(), slots + 1}},
-                rng, detectedOut);
 }
 
 void SlotEngine::runSlotsBatchPacked(std::span<tags::Tag> tags,

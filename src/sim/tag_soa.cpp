@@ -6,15 +6,8 @@ void TagSoA::gather(std::span<const tags::Tag> tags,
                     const core::DetectionScheme& scheme) {
   const std::size_t n = tags.size();
   blocker_.resize(n);
-  slotChoice_.resize(n);
-  strength_.resize(n);
-  idValue_.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
-    const tags::Tag& tag = tags[i];
-    blocker_[i] = tag.blocker ? 1 : 0;
-    slotChoice_[i] = tag.slotChoice;
-    strength_[i] = 1.0f;
-    idValue_[i] = tag.idValue;
+    blocker_[i] = tags[i].blocker ? 1 : 0;
   }
 
   signalWords_ = scheme.contentionWords();

@@ -2,12 +2,11 @@
 //
 // The scalar slot path touches tags::Tag (array-of-structs) one responder at
 // a time; the batch kernel (SlotEngine::runSlotsBatch) instead streams the
-// few per-tag fields it needs — packed contention-signal words, blocker
-// flags, slot counters, signal strengths, integer IDs — from contiguous
-// arrays gathered once per census. For kStatic detection schemes (CRC-CD,
-// the ideal oracle) the gather also precomputes every honest tag's packed
-// contention signal, moving the only per-responder work with any real cost
-// (the CRC) off the hot path entirely.
+// only two per-tag columns it reads — blocker flags and, for kStatic
+// detection schemes (CRC-CD, the ideal oracle), every honest tag's packed
+// contention signal — from contiguous arrays gathered once per census.
+// Precomputing the static signals moves the only per-responder work with
+// any real cost (the CRC) off the hot path entirely.
 //
 // The snapshot is deliberately read-only during a batch: identification
 // bookkeeping (believesIdentified &c.) stays on the Tag AoS, because the
@@ -37,7 +36,7 @@ class TagSoA {
   void gather(std::span<const tags::Tag> tags,
               const core::DetectionScheme& scheme);
 
-  std::size_t size() const noexcept { return slotChoice_.size(); }
+  std::size_t size() const noexcept { return blocker_.size(); }
 
   /// Words per packed signal row (the scheme's contentionWords()).
   std::size_t signalWords() const noexcept { return signalWords_; }
@@ -45,34 +44,16 @@ class TagSoA {
   bool hasStaticSignals() const noexcept { return hasStaticSignals_; }
 
   bool blocker(std::size_t i) const noexcept { return blocker_[i] != 0; }
-  std::uint32_t slotChoice(std::size_t i) const noexcept {
-    return slotChoice_[i];
-  }
-  float strength(std::size_t i) const noexcept { return strength_[i]; }
-  std::uint64_t idValue(std::size_t i) const noexcept { return idValue_[i]; }
   /// Row of signalWords() packed words; all-zero for blockers.
   const std::uint64_t* staticSignal(std::size_t i) const noexcept {
     return staticSignals_.data() + i * signalWords_;
   }
-
-  std::span<const std::uint8_t> blockers() const noexcept { return blocker_; }
-  std::span<const std::uint32_t> slotChoices() const noexcept {
-    return slotChoice_;
-  }
-  std::span<const float> strengths() const noexcept { return strength_; }
-  std::span<const std::uint64_t> idValues() const noexcept { return idValue_; }
 
  private:
   std::size_t signalWords_ = 0;
   bool hasStaticSignals_ = false;
   std::vector<std::uint64_t> staticSignals_;  ///< size() × signalWords_
   std::vector<std::uint8_t> blocker_;
-  std::vector<std::uint32_t> slotChoice_;
-  /// Relative received signal strength, a placeholder for soft-PHY capture
-  /// models: the pure-OR batch path ignores it, but gathering it keeps the
-  /// SoA layout stable when a strength-aware channel lands. Always 1.0f.
-  std::vector<float> strength_;
-  std::vector<std::uint64_t> idValue_;
 };
 
 }  // namespace rfid::sim

@@ -423,6 +423,28 @@ TEST(BatchKernel, RejectsMalformedInput) {
                PreconditionError);
 }
 
+TEST(BatchKernel, RejectsMalformedRows) {
+  // Each malformed batch throws before any slot runs.
+  Rig rig(qcd(8), orChannel, 4, 73, 0, false);
+  TagSoA soa;
+  soa.gather(rig.tags, *rig.scheme);
+  const std::vector<std::uint32_t> outOfRange{0, 4};
+  const std::vector<std::uint32_t> twoSlots{0, 1, 2};
+  EXPECT_THROW(rig.engine.runSlotsBatch(rig.tags, soa,
+                                        {outOfRange, twoSlots}, rig.rng),
+               PreconditionError);
+  const std::vector<std::uint32_t> responders{0, 1, 2};
+  const std::vector<std::uint32_t> nonMonotone{0, 2, 1, 3};
+  EXPECT_THROW(rig.engine.runSlotsBatch(rig.tags, soa,
+                                        {responders, nonMonotone}, rig.rng),
+               PreconditionError);
+  const std::vector<std::uint32_t> shortLast{0, 1, 2};
+  EXPECT_THROW(rig.engine.runSlotsBatch(rig.tags, soa,
+                                        {responders, shortLast}, rig.rng),
+               PreconditionError);
+  EXPECT_EQ(rig.metrics.trueCensus().total(), 0u);
+}
+
 // --- packed primitives vs their BitVec equivalents ---------------------------
 
 TEST(PackedPrimitives, EncodeWordsMatchesEncode) {
@@ -544,9 +566,6 @@ TEST(PackedPrimitives, TagSoAGatherSnapshotsTagState) {
   Rng unused(0);
   for (std::size_t i = 0; i < tags.size(); ++i) {
     EXPECT_EQ(soa.blocker(i), tags[i].blocker);
-    EXPECT_EQ(soa.slotChoice(i), tags[i].slotChoice);
-    EXPECT_EQ(soa.idValue(i), tags[i].idValue);
-    EXPECT_EQ(soa.strength(i), 1.0f);
     if (tags[i].blocker) {
       for (std::size_t w = 0; w < soa.signalWords(); ++w) {
         EXPECT_EQ(soa.staticSignal(i)[w], 0u) << "blocker rows stay zero";

@@ -7,6 +7,7 @@
 
 #include <vector>
 
+#include "common/require.hpp"
 #include "common/rng.hpp"
 #include "core/detection_scheme.hpp"
 #include "phy/channel.hpp"
@@ -175,6 +176,18 @@ TEST(SlotEngine, ClockAccumulatesAcrossSlots) {
   (void)engine.runSlot(tags, one, rng);                      // 80
   EXPECT_DOUBLE_EQ(m.nowMicros(), m.totalAirtimeMicros());
   EXPECT_DOUBLE_EQ(tags[2].identifiedAtMicros, m.nowMicros());
+}
+
+TEST(SlotEngine, RejectsOutOfRangeResponder) {
+  Rng rng(29);
+  auto tags = makeTags(4, rng);
+  const QcdScheme qcd{AirInterface{}, 8};
+  OrChannel channel;
+  Metrics metrics;
+  SlotEngine engine(qcd, channel, metrics);
+  const std::vector<std::size_t> responders{1, 4};
+  EXPECT_THROW((void)engine.runSlot(tags, responders, rng),
+               rfid::common::PreconditionError);
 }
 
 }  // namespace

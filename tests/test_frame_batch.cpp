@@ -1,6 +1,6 @@
 // Differential tests for frame-batched FSA/DFSA: a protocol run with
 // FrameMode::kBatched (whole frames rendered as CSR slot batches through
-// SlotEngine::runSlotsBatchBlockers) must be bit-identical to the same run
+// SlotEngine::runSlotsBatch) must be bit-identical to the same run
 // with FrameMode::kScalar (the per-slot runSlot reference loop) — same
 // metrics (including the floating-point airtime clock), same tag state,
 // same observer events, same RNG consumption, same return value — across
@@ -21,6 +21,7 @@
 #include "anticollision/experiment.hpp"
 #include "anticollision/fsa.hpp"
 #include "anticollision/protocol.hpp"
+#include "common/require.hpp"
 #include "common/rng.hpp"
 #include "common/simd.hpp"
 #include "core/detection_scheme.hpp"
@@ -40,6 +41,7 @@ using rfid::anticollision::FrameBatcher;
 using rfid::anticollision::FrameCensus;
 using rfid::anticollision::FramedSlottedAloha;
 using rfid::anticollision::Protocol;
+using rfid::common::PreconditionError;
 using rfid::common::Rng;
 using rfid::core::DetectionScheme;
 using rfid::core::QcdScheme;
@@ -333,6 +335,53 @@ TEST(FrameBatch, NoStaleSlotChoicePastTruncationPoint) {
       EXPECT_TRUE(tag.slotChoice < 3 || tag.slotChoice == kSentinel)
           << "stale slotChoice " << tag.slotChoice;
     }
+  }
+}
+
+// --- input checks ------------------------------------------------------------
+
+TEST(FrameBatch, RunFrameRejectsBadCalls) {
+  for (const Protocol::FrameMode mode :
+       {Protocol::FrameMode::kScalar, Protocol::FrameMode::kBatched}) {
+    Rig rig(qcd(8), orChannel, 12, 79, 0, false);
+    FrameBatcher batcher;
+    EXPECT_THROW(batcher.runFrame(rig.engine, rig.tags, 8, 8, rig.rng),
+                 PreconditionError)
+        << "runFrame before beginRound";
+    batcher.beginRound(rig.tags, rig.engine, nullptr, mode);
+    batcher.gatherActive(rig.tags);
+    EXPECT_THROW(batcher.runFrame(rig.engine, rig.tags, 8, 0, rig.rng),
+                 PreconditionError);
+    EXPECT_THROW(batcher.runFrame(rig.engine, rig.tags, 8, 9, rig.rng),
+                 PreconditionError);
+    EXPECT_EQ(rig.metrics.trueCensus().total(), 0u);
+  }
+}
+
+TEST(FrameBatch, BeginRoundRejectsMismatchedSnapshot) {
+  Rig rig(qcd(8), orChannel, 12, 83, 0, false);
+  TagSoA stale;  // gathered over a smaller population
+  const std::vector<Tag> fewer(rig.tags.begin(), rig.tags.begin() + 5);
+  stale.gather(fewer, *rig.scheme);
+  FrameBatcher batcher;
+  EXPECT_THROW(batcher.beginRound(rig.tags, rig.engine, &stale),
+               PreconditionError);
+}
+
+TEST(FrameBatch, FrameRowsBeyond32BitCsrAreRejectedUpFront) {
+  // 2^22 slots × 1025 blocker tails is 4 299 161 600 rows, past 2^32 − 1.
+  // The bound is checked before the 100 honest tags draw their slots or
+  // any scratch grows, so the RNG is untouched and no slot runs.
+  for (const Protocol::FrameMode mode :
+       {Protocol::FrameMode::kScalar, Protocol::FrameMode::kBatched}) {
+    Rig rig(qcd(8), orChannel, 1125, 89, /*blockerCount=*/1025, false);
+    FramedSlottedAloha protocol(std::size_t{1} << 22);
+    protocol.setFrameMode(mode);
+    Rng untouched = rig.rng;
+    EXPECT_THROW((void)protocol.run(rig.engine, rig.tags, rig.rng),
+                 PreconditionError);
+    EXPECT_EQ(rig.rng(), untouched());
+    EXPECT_EQ(rig.metrics.trueCensus().total(), 0u);
   }
 }
 

@@ -9,6 +9,7 @@
 #include <future>
 #include <vector>
 
+#include "common/require.hpp"
 #include "service/census.hpp"
 
 namespace {
@@ -325,6 +326,37 @@ TEST(InventoryService, InvalidRequestsAreRefusedAtSubmit) {
   CensusRequest negativeDeadline = smallRequest();
   negativeDeadline.deadlineMicros = -1.0;
   EXPECT_ANY_THROW((void)service.submit(negativeDeadline));
+}
+
+TEST(InventoryService, ThrowingCensusCountsAsFailedNotCompleted) {
+  // submit() does not check frameSize, so an FSA request with a zero frame
+  // is accepted and throws in the worker. It finishes (drain returns) as a
+  // failure: no completion, no service-time sample.
+  rfid::common::MetricsRegistry registry;
+  ServiceConfig cfg;
+  cfg.seed = 23;
+  cfg.registry = &registry;
+  InventoryService service(cfg);
+  CensusRequest zeroFrame = smallRequest();
+  zeroFrame.frameSize = 0;
+  auto failing = service.submit(zeroFrame);
+  auto passing = service.submit(smallRequest());
+  EXPECT_THROW((void)failing.get(), rfid::common::PreconditionError);
+  EXPECT_EQ(passing.get().outcome, CensusOutcome::kCompleted);
+  service.close();
+  service.drain();
+
+  const auto counters = service.counters();
+  EXPECT_EQ(counters.accepted, 2u);
+  EXPECT_EQ(counters.completed, 1u);
+  EXPECT_EQ(counters.failed, 1u);
+  EXPECT_EQ(registry.counter("service.completed").value(), 1u);
+  EXPECT_EQ(registry.counter("service.failed").value(), 1u);
+  const auto latency = service.latencySnapshot();
+  EXPECT_EQ(latency.serviceMicros.count(), 1u);
+  EXPECT_GT(latency.serviceMicros.percentile(0.0), 0.0);
+  EXPECT_EQ(registry.histogram("service.service_time_us", {}).total(), 1u);
+  EXPECT_EQ(latency.queueWaitMicros.count(), 2u);
 }
 
 }  // namespace

@@ -15,7 +15,6 @@
 // reason — QtAndAqs.CapAborts covers that path.
 #include <gtest/gtest.h>
 
-#include <bit>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -29,7 +28,6 @@
 #include "core/detection_scheme.hpp"
 #include "helpers.hpp"
 #include "phy/channel.hpp"
-#include "sim/trace.hpp"
 #include "tags/population.hpp"
 
 namespace {
@@ -37,6 +35,7 @@ namespace {
 using rfid::anticollision::Protocol;
 using rfid::common::Rng;
 using rfid::phy::AirInterface;
+using rfid::testing::DigestObserver;
 using rfid::testing::Harness;
 
 enum class Tree { kBt, kAbs, kQt, kAqs };
@@ -52,39 +51,6 @@ struct Case {
 
 constexpr std::size_t kTags = 120;
 constexpr std::size_t kBlockerCap = 400;
-
-/// FNV-1a over 64-bit words.
-class Fnv {
- public:
-  void add(std::uint64_t word) {
-    for (int byte = 0; byte < 8; ++byte) {
-      hash_ ^= (word >> (8 * byte)) & 0xffu;
-      hash_ *= 0x100000001b3ull;
-    }
-  }
-  void add(double value) { add(std::bit_cast<std::uint64_t>(value)); }
-  std::uint64_t value() const { return hash_; }
-
- private:
-  std::uint64_t hash_ = 0xcbf29ce484222325ull;
-};
-
-class DigestObserver final : public rfid::sim::SlotObserver {
- public:
-  void onSlot(const rfid::sim::SlotEvent& event) override {
-    fnv.add(event.index);
-    fnv.add(static_cast<std::uint64_t>(event.trueType));
-    fnv.add(static_cast<std::uint64_t>(event.detectedType));
-    fnv.add(static_cast<std::uint64_t>(event.responders));
-    fnv.add(event.startMicros);
-    fnv.add(event.durationMicros);
-    fnv.add(event.identified);
-    ++slots;
-  }
-
-  Fnv fnv;
-  std::uint64_t slots = 0;
-};
 
 std::unique_ptr<Protocol> makeTree(Tree tree, std::size_t cap) {
   switch (tree) {
