@@ -3,24 +3,24 @@
 // Continuous FSA inventory over a Poisson stream of tags with a fixed dwell
 // window; the detection scheme determines how many inventory frames fit
 // into each dwell, and therefore the miss rate.
+#include "anticollision/mobile.hpp"
 #include "bench_support.hpp"
 #include "common/table.hpp"
 #include "core/detection_scheme.hpp"
-#include "sim/mobile.hpp"
 
 using namespace rfid;
 
 namespace {
 
-sim::MobileResult runWith(const core::DetectionScheme& scheme,
-                          double dwellMicros, std::uint64_t seed) {
-  sim::MobileConfig cfg;
+anticollision::MobileResult runWith(const core::DetectionScheme& scheme,
+                                    double dwellMicros, std::uint64_t seed) {
+  anticollision::MobileConfig cfg;
   cfg.arrivalsPerMs = 2.0;
   cfg.dwellMicros = dwellMicros;
   cfg.horizonMicros = 4.0e5;
   cfg.frameSize = 8;
   common::Rng rng(seed);
-  return sim::runMobileScenario(scheme, cfg, rng);
+  return anticollision::runMobileScenario(scheme, cfg, rng);
 }
 
 }  // namespace

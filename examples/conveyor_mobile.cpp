@@ -8,10 +8,10 @@
 //                       [--frame 8] [--strength 8] [--seed 11]
 #include <iostream>
 
+#include "anticollision/mobile.hpp"
 #include "common/cli.hpp"
 #include "common/table.hpp"
 #include "core/detection_scheme.hpp"
-#include "sim/mobile.hpp"
 
 using namespace rfid;
 
@@ -29,7 +29,7 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  sim::MobileConfig cfg;
+  anticollision::MobileConfig cfg;
   cfg.arrivalsPerMs = args.getDouble("rate");
   cfg.dwellMicros = args.getDouble("dwell");
   cfg.horizonMicros = args.getDouble("horizon");
@@ -56,7 +56,8 @@ int main(int argc, char** argv) {
               {"Ideal (oracle bound)", ideal}};
   for (const auto& row : rows) {
     common::Rng rng(seed);
-    const sim::MobileResult r = sim::runMobileScenario(row.scheme, cfg, rng);
+    const anticollision::MobileResult r =
+        anticollision::runMobileScenario(row.scheme, cfg, rng);
     table.addRow({row.label, common::fmtCount(r.arrived),
                   common::fmtCount(r.identified), common::fmtCount(r.missed),
                   common::fmtPercent(r.missRate()),

@@ -31,6 +31,14 @@
 # not judged), then the benchmark project's own ctest, whose decorator
 # self-test rebuilds each census from public calls.
 #
+# `sh scripts/ci.sh identity BASE [bench...]` checks that a change leaves
+# bench output byte-identical: it builds git revision BASE in a temporary
+# `git worktree` (removed on exit) and the working tree in build/, runs
+# each named bench binary at RFID_ROUNDS=5 in both builds, and diffs their
+# stdout. Without bench names it runs the framed-path and tree-family
+# benches the bit-identity contract covers (DESIGN.md §5d-§5f). Exits
+# nonzero when any output differs.
+#
 # `sh scripts/ci.sh lint [--diff BASE]` runs the static-analysis gate
 # (clang-tidy with the checked-in .clang-tidy,
 # scripts/check_invariants.py with SARIF output, and the clang-format
@@ -44,6 +52,53 @@ if [ "$mode" = "lint" ]; then
   shift
   sh scripts/lint.sh "$@"
   exit 0
+fi
+
+if [ "$mode" = "identity" ]; then
+  shift
+  if [ $# -lt 1 ]; then
+    echo "usage: sh scripts/ci.sh identity BASE [bench...]" >&2
+    exit 2
+  fi
+  base="$1"
+  shift
+  if [ $# -eq 0 ]; then
+    set -- table07_fsa_census lemma1_fsa_throughput ablation_estimators \
+      table09_utilization ablation_qadaptive ablation_cardinality \
+      ablation_mobile_tags ablation_tree_family lemma2_bt_slots \
+      table08_bt_census table03_ei_bt ablation_capture
+  fi
+  jobs="$(nproc 2>/dev/null || echo 4)"
+  identdir=$(mktemp -d)
+  trap 'git worktree remove --force "$identdir/base" 2>/dev/null || true
+        git worktree prune
+        rm -rf "$identdir"' EXIT
+  git worktree add --detach --quiet "$identdir/base" "$base"
+  cmake -S "$identdir/base" -B "$identdir/base/build" > /dev/null
+  cmake --build "$identdir/base/build" -j "$jobs" --target "$@"
+  cmake -B build -S . > /dev/null
+  cmake --build build -j "$jobs" --target "$@"
+  head_build="$(pwd)/build"
+  status=0
+  for bench in "$@"; do
+    # Run from the temporary directory with no report or trace file, so a
+    # bench that writes one by default leaves nothing in the tree.
+    (cd "$identdir" && RFID_ROUNDS=5 RFID_JSON= RFID_TRACE= \
+      "$identdir/base/build/bench/$bench" > "$identdir/$bench.base")
+    (cd "$identdir" && RFID_ROUNDS=5 RFID_JSON= RFID_TRACE= \
+      "$head_build/bench/$bench" > "$identdir/$bench.head")
+    if cmp -s "$identdir/$bench.base" "$identdir/$bench.head"; then
+      echo "identical: $bench"
+    else
+      echo "DIFFERS:   $bench"
+      diff "$identdir/$bench.base" "$identdir/$bench.head" | head -n 20 || true
+      status=1
+    fi
+  done
+  if [ "$status" -eq 0 ]; then
+    echo "ci.sh: identity green (byte-identical to $base)"
+  fi
+  exit "$status"
 fi
 
 if [ "$mode" = "asan" ]; then

@@ -1,8 +1,9 @@
 #include "anticollision/cardinality.hpp"
 
 #include <cmath>
-#include <vector>
 
+#include "anticollision/estimators.hpp"
+#include "anticollision/protocol.hpp"
 #include "common/require.hpp"
 #include "common/stats.hpp"
 #include "sim/engine.hpp"
@@ -94,46 +95,20 @@ CardinalityEstimate estimateCardinality(const core::DetectionScheme& scheme,
   sim::SlotEngine engine(scheme, channel, metrics);
   common::RunningStats perFrame;
 
-  std::vector<std::vector<std::size_t>> buckets(config.frameSize);
-  std::vector<std::size_t> contenders;
-  for (std::size_t i = 0; i < tags.size(); ++i) {
-    if (!tags[i].blocker && !tags[i].believesIdentified) {
-      contenders.push_back(i);
-    }
-  }
-
+  FrameBatcher batcher;
+  batcher.beginRound(tags, engine, nullptr);
+  const std::span<const std::size_t> contenders = batcher.gatherActive(tags);
   for (std::size_t f = 0; f < config.probeFrames; ++f) {
-    for (auto& bucket : buckets) {
-      bucket.clear();
-    }
+    const FrameCensus census = tallyFrame(batcher.runFrame(
+        engine, tags, config.frameSize, config.frameSize, rng));
+    // Undo any identification the engine applied — estimation is read-only
+    // (the reader sends no ACK after a probe).
     for (const std::size_t idx : contenders) {
-      buckets[rng.below(config.frameSize)].push_back(idx);
+      tags[idx].believesIdentified = false;
+      tags[idx].correctlyIdentified = false;
     }
-    std::uint64_t idle = 0, single = 0, collided = 0;
-    for (std::size_t s = 0; s < config.frameSize; ++s) {
-      // Probe slots never acknowledge, so tags are never silenced: pass the
-      // responders but ignore the identification side effects by saving and
-      // restoring the silenced flags.
-      switch (engine.runSlot(tags, buckets[s], rng)) {
-        case phy::SlotType::kIdle:
-          ++idle;
-          break;
-        case phy::SlotType::kSingle:
-          ++single;
-          break;
-        case phy::SlotType::kCollided:
-          ++collided;
-          break;
-      }
-      // Undo any identification the engine applied — estimation is
-      // read-only (the reader sends no ACK after a probe).
-      for (const std::size_t idx : buckets[s]) {
-        tags[idx].believesIdentified = false;
-        tags[idx].correctlyIdentified = false;
-      }
-    }
-    perFrame.add(invertCensus(config.estimator, config.frameSize, idle,
-                              single, collided));
+    perFrame.add(invertCensus(config.estimator, config.frameSize,
+                              census.idle, census.single, census.collided));
   }
 
   CardinalityEstimate out;

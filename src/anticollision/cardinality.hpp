@@ -51,9 +51,11 @@ double invertCensus(CardinalityEstimator kind, std::size_t frameSize,
                     std::uint64_t collided);
 
 /// Runs `probeFrames` probe frames over the (unidentified) population and
-/// averages the per-frame estimates. Tags are not identified or silenced —
-/// estimation is read-only. Progress is charged to `metrics` so the airtime
-/// comparison against full identification is direct.
+/// averages the per-frame estimates. FrameBatcher draws every probe frame,
+/// so a blocker tag answers every probe slot, as it answers every
+/// inventory slot. Tags are not identified or silenced — estimation is
+/// read-only. The returned airtime and slot count are what the probing
+/// cost, so the comparison against full identification is direct.
 CardinalityEstimate estimateCardinality(const core::DetectionScheme& scheme,
                                         phy::Channel& channel,
                                         std::span<tags::Tag> tags,

@@ -25,22 +25,8 @@ std::string DynamicFsa::name() const {
 
 std::size_t DynamicFsa::nextFrame(
     std::span<const phy::SlotType> verdicts) const {
-  FrameCensus census;
-  census.frameSize = verdicts.size();
-  for (const phy::SlotType verdict : verdicts) {
-    switch (verdict) {
-      case phy::SlotType::kIdle:
-        ++census.idle;
-        break;
-      case phy::SlotType::kSingle:
-        ++census.single;
-        break;
-      case phy::SlotType::kCollided:
-        ++census.collided;
-        break;
-    }
-  }
-  return std::clamp(estimateBacklog(estimator_, census), minFrame_, maxFrame_);
+  return std::clamp(estimateBacklog(estimator_, tallyFrame(verdicts)),
+                    minFrame_, maxFrame_);
 }
 
 }  // namespace rfid::anticollision

@@ -4,9 +4,9 @@
 // census and sizes the next frame to match it (Lemma 1: throughput peaks at
 // F = n).
 //
-// FramedAloha runs the frames; DFSA only counts each frame's verdicts into
-// a FrameCensus and sizes the next frame from its estimator, clamped to
-// [minFrame, maxFrame].
+// FramedAloha runs the frames; DFSA only tallies each frame's verdicts
+// into a FrameCensus and sizes the next frame from its estimator, clamped
+// to [minFrame, maxFrame].
 #pragma once
 
 #include "anticollision/estimators.hpp"

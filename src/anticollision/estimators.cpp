@@ -20,6 +20,25 @@ std::string toString(EstimatorKind kind) {
   return "?";
 }
 
+FrameCensus tallyFrame(std::span<const phy::SlotType> verdicts) {
+  FrameCensus census;
+  census.frameSize = verdicts.size();
+  for (const phy::SlotType verdict : verdicts) {
+    switch (verdict) {
+      case phy::SlotType::kIdle:
+        ++census.idle;
+        break;
+      case phy::SlotType::kSingle:
+        ++census.single;
+        break;
+      case phy::SlotType::kCollided:
+        ++census.collided;
+        break;
+    }
+  }
+  return census;
+}
+
 std::size_t estimateBacklog(EstimatorKind kind, const FrameCensus& census) {
   if (census.collided == 0) {
     // No collision slot means every contender was identified: the frame is

@@ -11,7 +11,10 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
+
+#include "phy/timing.hpp"
 
 namespace rfid::anticollision {
 
@@ -26,6 +29,10 @@ struct FrameCensus {
   std::uint64_t single = 0;
   std::uint64_t collided = 0;
 };
+
+/// The census of a frame whose effective per-slot verdicts are `verdicts`
+/// (one per slot, so its frame size is verdicts.size()).
+FrameCensus tallyFrame(std::span<const phy::SlotType> verdicts);
 
 /// Estimated number of tags that remain unidentified after the frame
 /// (identified singles are already excluded).

@@ -1,16 +1,17 @@
-#include "sim/mobile.hpp"
+#include "anticollision/mobile.hpp"
 
 #include <algorithm>
 #include <cmath>
 #include <vector>
 
+#include "anticollision/protocol.hpp"
 #include "common/require.hpp"
 #include "phy/channel.hpp"
 #include "sim/engine.hpp"
 #include "sim/metrics.hpp"
 #include "tags/tag.hpp"
 
-namespace rfid::sim {
+namespace rfid::anticollision {
 
 namespace {
 
@@ -31,8 +32,9 @@ MobileResult runMobileScenario(const core::DetectionScheme& scheme,
   const double ratePerMicro = config.arrivalsPerMs / 1000.0;
 
   phy::OrChannel channel;
-  Metrics metrics;
-  SlotEngine engine(scheme, channel, metrics);
+  sim::Metrics metrics;
+  sim::SlotEngine engine(scheme, channel, metrics);
+  FrameBatcher batcher;
   MobileResult result;
 
   // The working set of tags currently in range. Population is unbounded
@@ -44,14 +46,10 @@ MobileResult runMobileScenario(const core::DetectionScheme& scheme,
   double nextArrival = nextExponential(ratePerMicro, rng);
   double timeToReadSum = 0.0;
 
-  std::vector<std::vector<std::size_t>> buckets(config.frameSize);
-  std::vector<std::size_t> responders;
-
   const std::size_t idBits = scheme.air().idBits;
 
   while (metrics.nowMicros() < config.horizonMicros) {
     const double now = metrics.nowMicros();
-    const double frameStart = now;
 
     // Admit every tag that has arrived by now.
     while (nextArrival <= now) {
@@ -64,12 +62,11 @@ MobileResult runMobileScenario(const core::DetectionScheme& scheme,
       nextArrival += nextExponential(ratePerMicro, rng);
     }
 
-    // Expire tags whose dwell window closed.
+    // Expire tags whose dwell window closed; a tag read before it left was
+    // already counted.
     for (std::size_t i = 0; i < present.size();) {
       if (departsAt[i] <= now) {
-        if (present[i].believesIdentified) {
-          // already counted at identification time
-        } else {
+        if (!present[i].believesIdentified) {
           ++result.missed;
         }
         present[i] = std::move(present.back());
@@ -81,23 +78,15 @@ MobileResult runMobileScenario(const core::DetectionScheme& scheme,
       }
     }
 
-    // One inventory frame over the unidentified tags currently present.
-    for (auto& bucket : buckets) {
-      bucket.clear();
-    }
-    bool anyContender = false;
-    for (std::size_t i = 0; i < present.size(); ++i) {
-      if (!present[i].believesIdentified) {
-        buckets[rng.below(config.frameSize)].push_back(i);
-        anyContender = true;
-      }
-    }
-    if (!anyContender) {
-      // Empty field: the reader still scans, paying one idle frame.
-      for (std::size_t s = 0; s < config.frameSize; ++s) {
-        (void)engine.runSlot(present, {}, rng);
-      }
-      if (metrics.nowMicros() <= frameStart) {
+    // One inventory frame over the unidentified tags currently present; an
+    // empty field still costs the reader one idle frame.
+    batcher.beginRound(present, engine, nullptr);
+    const std::span<const std::size_t> contenders =
+        batcher.gatherActive(present);
+    (void)batcher.runFrame(engine, present, config.frameSize,
+                           config.frameSize, rng);
+    if (contenders.empty()) {
+      if (metrics.nowMicros() <= now) {
         // Zero-cost idle slots (the free-detection oracle): fast-forward to
         // the next arrival so the loop always makes progress.
         metrics.advanceMicros(
@@ -105,34 +94,26 @@ MobileResult runMobileScenario(const core::DetectionScheme& scheme,
       }
       continue;
     }
-    for (std::size_t s = 0; s < config.frameSize; ++s) {
-      responders = buckets[s];
-      const double before = metrics.nowMicros();
-      const std::size_t identifiedBefore =
-          static_cast<std::size_t>(metrics.identified());
-      (void)engine.runSlot(present, responders, rng);
-      if (metrics.identified() >
-          static_cast<std::uint64_t>(identifiedBefore)) {
-        // Count reads that happened within the tags' dwell windows; a read
-        // completing after departure would be a miss in reality, but frame
-        // granularity makes that window error at most one slot.
-        for (const std::size_t idx : responders) {
-          if (present[idx].believesIdentified &&
-              present[idx].identifiedAtMicros >= before) {
-            if (present[idx].correctlyIdentified) {
-              ++result.identified;
-              timeToReadSum += present[idx].identifiedAtMicros -
-                               (departsAt[idx] - config.dwellMicros);
-            } else {
-              // Phantom ACK: the tag fell silent but its ID never reached
-              // the reader — operationally a miss.
-              ++result.missed;
-            }
-          }
-        }
+    // Count the frame's reads. Every read lands within the tags' dwell
+    // windows up to frame granularity: a read completing after departure
+    // would be a miss in reality, but that window error is at most one
+    // frame.
+    for (const std::size_t idx : contenders) {
+      const tags::Tag& tag = present[idx];
+      if (!tag.believesIdentified) {
+        continue;
+      }
+      if (tag.correctlyIdentified) {
+        ++result.identified;
+        timeToReadSum +=
+            tag.identifiedAtMicros - (departsAt[idx] - config.dwellMicros);
+      } else {
+        // Phantom ACK: the tag fell silent but its ID never reached the
+        // reader — operationally a miss.
+        ++result.missed;
       }
     }
-    if (metrics.nowMicros() <= frameStart) {
+    if (metrics.nowMicros() <= now) {
       // All slots were free under the oracle timing: charge one bit-time so
       // simulated time always moves forward.
       metrics.advanceMicros(std::max(1.0, scheme.air().tauMicros));
@@ -146,4 +127,4 @@ MobileResult runMobileScenario(const core::DetectionScheme& scheme,
   return result;
 }
 
-}  // namespace rfid::sim
+}  // namespace rfid::anticollision

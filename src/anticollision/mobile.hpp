@@ -3,7 +3,8 @@
 // "The tag may move out of the reader's range before it is identified by
 // the reader if the identification is slow." This module models exactly
 // that: tags arrive as a Poisson process, stay for a fixed dwell time, and
-// the reader runs continuous FSA inventory frames. A tag that departs
+// the reader runs continuous FSA inventory frames, each drawn by
+// FrameBatcher over the tags present when it starts. A tag that departs
 // before being read is a miss — the metric that makes identification speed
 // (and hence the detection scheme) operationally visible.
 #pragma once
@@ -15,7 +16,7 @@
 #include "core/detection_scheme.hpp"
 #include "phy/air_interface.hpp"
 
-namespace rfid::sim {
+namespace rfid::anticollision {
 
 struct MobileConfig {
   /// Mean arrivals per millisecond (Poisson).
@@ -48,4 +49,4 @@ struct MobileResult {
 MobileResult runMobileScenario(const core::DetectionScheme& scheme,
                                const MobileConfig& config, common::Rng& rng);
 
-}  // namespace rfid::sim
+}  // namespace rfid::anticollision

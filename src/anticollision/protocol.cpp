@@ -1,15 +1,15 @@
-// FramedAloha: the one frame loop of FSA and DFSA; FrameBatcher: its
-// frame emitter.
+// FrameBatcher: the slot engine's one frame renderer; FramedAloha: the one
+// frame loop of FSA and DFSA.
 //
-// Each frame is one sequence of slot draws, in ascending tag order, and
-// one of two emitters. The per-slot reference emitter (FrameMode::kScalar)
-// buckets the draws into per-slot vectors, appends the blockers, and feeds
-// runSlot one slot at a time. The batched emitter produces the identical
-// responder sequence via a two-pass counting sort into flat CSR arrays,
-// each row's blocker tail reserved, then hands the whole frame to the
-// engine in one runSlotsBatch call. The two stay separate code so the
-// differential tests in tests/test_frame_batch.cpp compare independent
-// renderings; bit-identity is inherited from the engine's batch contract.
+// Each frame is one sequence of slot draws, in ascending tag order. The
+// draw step (drawFrame) lays the draws out by a two-pass counting sort into
+// flat CSR arrays, each row's blocker tail reserved; runFrame hands the
+// whole frame to the engine in one runSlotsBatch call, runRow one row at a
+// time. The per-slot reference emitter (FrameMode::kScalar) buckets the
+// same draws into per-slot vectors, appends the blockers, and feeds runSlot
+// one slot at a time. The two stay separate code so the differential tests
+// in tests/test_frame_batch.cpp compare independent renderings;
+// bit-identity is inherited from the engine's batch contract.
 #include "anticollision/protocol.hpp"
 
 #include <algorithm>
@@ -36,6 +36,7 @@ void FrameBatcher::beginRound(std::span<const tags::Tag> tags,
   }
   Protocol::blockerIndicesInto(tags, blockers_);
   activeGathered_ = false;
+  rows_ = 0;
 }
 
 std::span<const std::size_t> FrameBatcher::gatherActive(
@@ -49,13 +50,11 @@ std::span<const std::size_t> FrameBatcher::gatherActive(
   return active_;
 }
 
-// rfid:noexcept-allow: the beginRound-ordering, frame-prefix and 32-bit CSR
-// REQUIREs are test-pinned API contracts
-std::span<const phy::SlotType> FrameBatcher::runFrame(
-    sim::SlotEngine& engine, std::span<tags::Tag> tags, std::size_t frameSize,
-    std::size_t slotsToRun, common::Rng& rng) {
-  ALLOC_GUARD_HOT();
-  RFID_REQUIRE(soa_ != nullptr, "beginRound must precede runFrame");
+// The beginRound-ordering, frame-prefix and 32-bit CSR REQUIREs are
+// test-pinned API contracts of drawFrame and runFrame.
+void FrameBatcher::requireFrame(std::size_t frameSize,
+                                std::size_t slotsToRun) const {
+  RFID_REQUIRE(soa_ != nullptr, "beginRound must precede a frame");
   RFID_REQUIRE(slotsToRun >= 1 && slotsToRun <= frameSize,
                "frame prefix must be non-empty and within the frame");
   // The rows hold at most every active tag plus slotsToRun blocker tails;
@@ -67,37 +66,15 @@ std::span<const phy::SlotType> FrameBatcher::runFrame(
                    (nBlockers == 0 ||
                     slotsToRun <= (kMaxRows - nActive) / nBlockers),
                "frame batch exceeds 32-bit CSR indexing");
-  if (detected_.size() < slotsToRun) {
-    ALLOC_GUARD_ALLOW("high-water-mark growth; steady state reuses storage");
-    detected_.resize(slotsToRun);
-  }
+}
 
-  if (mode_ == Protocol::FrameMode::kScalar) {
-    // The per-slot reference emitter: bucket the draws, then one runSlot
-    // per slot with the blockers appended.
-    if (buckets_.size() < slotsToRun) {
-      ALLOC_GUARD_ALLOW("high-water-mark growth; steady state reuses storage");
-      buckets_.resize(slotsToRun);
-    }
-    for (std::size_t s = 0; s < slotsToRun; ++s) {
-      buckets_[s].clear();
-    }
-    for (const std::size_t idx : active_) {
-      const auto slot = static_cast<std::uint32_t>(rng.below(frameSize));
-      if (slot < slotsToRun) {
-        tags[idx].slotChoice = slot;
-        common::pushBackAmortized(buckets_[slot], idx);
-      }
-    }
-    for (std::size_t s = 0; s < slotsToRun; ++s) {
-      for (const std::size_t b : blockers_) {
-        common::pushBackAmortized(buckets_[s], b);
-      }
-      detected_[s] = engine.runSlot(tags, buckets_[s], rng);
-    }
-    return {detected_.data(), slotsToRun};
-  }
-
+// rfid:noexcept-allow: requireFrame carries the test-pinned REQUIREs
+sim::SlotBatch FrameBatcher::drawFrame(std::size_t frameSize,
+                                       std::size_t slotsToRun,
+                                       common::Rng& rng) {
+  ALLOC_GUARD_HOT();
+  requireFrame(frameSize, slotsToRun);
+  const std::size_t nActive = active_.size();
   if (counts_.size() < slotsToRun) {
     ALLOC_GUARD_ALLOW("high-water-mark growth; steady state reuses storage");
     counts_.resize(slotsToRun);
@@ -112,22 +89,21 @@ std::span<const phy::SlotType> FrameBatcher::runFrame(
   }
 
   // Pass 1 — every active tag draws its slot (the same draw sequence as
-  // the reference emitter); draws inside the running prefix are committed
-  // to the tag and counted, the rest never contend this frame.
+  // the reference emitter); draws inside the running prefix are counted,
+  // the rest never contend this frame.
   std::fill(counts_.begin(),
             counts_.begin() + static_cast<std::ptrdiff_t>(slotsToRun), 0u);
   for (std::size_t k = 0; k < nActive; ++k) {
     const auto slot = static_cast<std::uint32_t>(rng.below(frameSize));
     draws_[k] = slot;
     if (slot < slotsToRun) {
-      tags[active_[k]].slotChoice = slot;
       ++counts_[slot];
     }
   }
 
   // Prefix-sum the counts into CSR row offsets, each row sized for its
   // honest drawers plus the blocker tail.
-  const auto tail = static_cast<std::uint32_t>(nBlockers);
+  const auto tail = static_cast<std::uint32_t>(blockers_.size());
   offsets_[0] = 0;
   for (std::size_t s = 0; s < slotsToRun; ++s) {
     offsets_[s + 1] = offsets_[s] + counts_[s] + tail;
@@ -160,10 +136,64 @@ std::span<const phy::SlotType> FrameBatcher::runFrame(
       }
     }
   }
+  rows_ = slotsToRun;
+  return {{responders_.data(), nRows}, {offsets_.data(), slotsToRun + 1}};
+}
 
+// rfid:noexcept-allow: the row-range REQUIRE is an API contract, and
+// runSlotsBatch validates the row
+phy::SlotType FrameBatcher::runRow(sim::SlotEngine& engine,
+                                   std::span<tags::Tag> tags,
+                                   std::size_t slot, common::Rng& rng) {
+  ALLOC_GUARD_HOT();
+  RFID_REQUIRE(slot < rows_, "row outside the last drawn frame");
+  const std::uint32_t begin = offsets_[slot];
+  const std::uint32_t rowOffsets[2] = {0, offsets_[slot + 1] - begin};
+  phy::SlotType verdict{};
   engine.runSlotsBatch(tags, *soa_,
-                       {{responders_.data(), nRows},
-                        {offsets_.data(), slotsToRun + 1}},
+                       {{responders_.data() + begin, rowOffsets[1]},
+                        rowOffsets},
+                       rng, {&verdict, 1});
+  return verdict;
+}
+
+// rfid:noexcept-allow: requireFrame carries the test-pinned REQUIREs
+std::span<const phy::SlotType> FrameBatcher::runFrame(
+    sim::SlotEngine& engine, std::span<tags::Tag> tags, std::size_t frameSize,
+    std::size_t slotsToRun, common::Rng& rng) {
+  ALLOC_GUARD_HOT();
+  requireFrame(frameSize, slotsToRun);
+  if (detected_.size() < slotsToRun) {
+    ALLOC_GUARD_ALLOW("high-water-mark growth; steady state reuses storage");
+    detected_.resize(slotsToRun);
+  }
+
+  if (mode_ == Protocol::FrameMode::kScalar) {
+    // The per-slot reference emitter: bucket the draws, then one runSlot
+    // per slot with the blockers appended.
+    if (buckets_.size() < slotsToRun) {
+      ALLOC_GUARD_ALLOW("high-water-mark growth; steady state reuses storage");
+      buckets_.resize(slotsToRun);
+    }
+    for (std::size_t s = 0; s < slotsToRun; ++s) {
+      buckets_[s].clear();
+    }
+    for (const std::size_t idx : active_) {
+      const auto slot = static_cast<std::uint32_t>(rng.below(frameSize));
+      if (slot < slotsToRun) {
+        common::pushBackAmortized(buckets_[slot], idx);
+      }
+    }
+    for (std::size_t s = 0; s < slotsToRun; ++s) {
+      for (const std::size_t b : blockers_) {
+        common::pushBackAmortized(buckets_[s], b);
+      }
+      detected_[s] = engine.runSlot(tags, buckets_[s], rng);
+    }
+    return {detected_.data(), slotsToRun};
+  }
+
+  engine.runSlotsBatch(tags, *soa_, drawFrame(frameSize, slotsToRun, rng),
                        rng, {detected_.data(), slotsToRun});
   return {detected_.data(), slotsToRun};
 }

@@ -1,5 +1,5 @@
-// Anti-collision protocol interface, and the framed-ALOHA base that FSA
-// and DFSA share.
+// Anti-collision protocol interface, the slot engine's one frame renderer,
+// and the framed-ALOHA base that FSA and DFSA share.
 //
 // A protocol decides which tags respond in which slot; everything below
 // that decision (contention signal, channel superposition, classification,
@@ -7,9 +7,11 @@
 // what lets every protocol run unchanged under CRC-CD, QCD or the ideal
 // oracle — the paper's compatibility claim (§I).
 //
-// The framed protocols go one step further: FramedAloha runs the one frame
-// loop, FrameBatcher renders each frame, and a protocol only sizes the
-// next frame.
+// Every frame the slot engine runs is drawn by FrameBatcher: FSA and DFSA
+// (FramedAloha runs their one frame loop, a protocol only sizes the next
+// frame), Q-adaptive's Query rounds, the cardinality probe and the mobile
+// inventory. (gen2::Gen2Reader models Gen2 at command level, with its own
+// tag state machine, and does not run on the slot engine.)
 #pragma once
 
 #include <span>
@@ -26,14 +28,14 @@ namespace rfid::anticollision {
 
 class Protocol {
  public:
-  /// How a frame-based protocol emits its slots (FrameBatcher::runFrame).
+  /// How a framed-ALOHA protocol emits its slots (FrameBatcher::runFrame).
   /// kBatched (the default) renders each frame as one CSR sim::SlotBatch
   /// and drives SlotEngine::runSlotsBatch — bit-identical to the per-slot
   /// emitter by the engine's equivalence contract (DESIGN.md §5d/§5e), but
   /// many times faster when the packed fast path engages. kScalar selects
   /// the per-slot runSlot reference emitter; it exists for the differential
-  /// tests and as a debugging oracle. Protocols without a batched path (the
-  /// tree walkers, Q-adaptive) ignore the mode.
+  /// tests and as a debugging oracle. The tree walkers and Q-adaptive
+  /// (which runs its drawn rows one at a time) ignore the mode.
   enum class FrameMode { kBatched, kScalar };
 
   /// `maxSlots` is a safety cap: a run that exceeds it aborts and run()
@@ -84,7 +86,7 @@ class Protocol {
                                  std::vector<std::size_t>& out);
   /// Drops newly identified tags from an active list built by
   /// activeTagIndicesInto, preserving order, without rescanning the whole
-  /// population. Valid because FSA/DFSA never reactivate a tag mid-run
+  /// population. Valid because no protocol reactivates a tag mid-run
   /// (believesIdentified only ever flips to true); allocation-free.
   static void filterStillActive(std::span<const tags::Tag> tags,
                                 std::vector<std::size_t>& active);
@@ -99,23 +101,26 @@ class Protocol {
   FrameMode frameMode_ = FrameMode::kBatched;
 };
 
-/// The frame emitter of the framed-ALOHA protocols (FramedAloha).
+/// The slot engine's one frame renderer: FramedAloha's frames, Q-adaptive's
+/// Query rounds, the cardinality probe and the mobile inventory all draw
+/// their frames here.
 ///
-/// One instance lives on the protocol and is reused across frames and
-/// runs: every vector grows to a high-water mark only, so steady-state
-/// frames allocate nothing (bench/microbench_slot's frame-census pass
-/// counts). Every active tag draws a slot in ascending tag order; each
-/// slot's responders are its honest drawers in that order with every
-/// blocker appended. Two emitters feed those slots to the engine, chosen
-/// by the mode passed to beginRound: kBatched renders the whole frame as
-/// one CSR sim::SlotBatch by counting sort (every row reserving its
-/// blocker tail); kScalar buckets the draws and calls runSlot once per
-/// slot. The engine's equivalence contract (DESIGN.md §5d) makes the two
-/// bit-identical: same RNG consumption order, same metrics, same observer
-/// events, same tag state.
+/// One instance lives on its owner and is reused across frames and runs:
+/// every vector grows to a high-water mark only, so steady-state frames
+/// allocate nothing (bench/microbench_slot's frame-census pass counts).
+/// Every active tag draws a slot in ascending tag order; each slot's
+/// responders are its honest drawers in that order with every blocker
+/// appended. The draw step (drawFrame) lays those rows out as one CSR
+/// sim::SlotBatch by counting sort, every row reserving its blocker tail,
+/// and writes nothing to the tags. runFrame then hands the whole batch to
+/// the engine, or runRow hands it over one row at a time. The kScalar
+/// reference emitter (runFrame only) buckets the draws and calls runSlot
+/// once per slot. The engine's equivalence contract (DESIGN.md §5d) makes
+/// all of these bit-identical: same RNG consumption order, same metrics,
+/// same observer events, same tag state.
 class FrameBatcher {
  public:
-  /// Caches the blocker set, selects the round's emitter, and binds the SoA
+  /// Caches the blocker set, selects runFrame's emitter, and binds the SoA
   /// snapshot for the round: `shared` when the caller gathered one
   /// (runWithSnapshot), otherwise a freshly gathered private snapshot. Call
   /// at the top of every run(); blocker flags and tag IDs must stay fixed
@@ -130,21 +135,36 @@ class FrameBatcher {
   /// Refreshes and returns the still-contending honest tag set (ascending
   /// index order — the order that fixes per-slot RNG consumption). The
   /// first call after beginRound scans the whole population; later calls
-  /// only drop newly identified tags from the previous set (FSA/DFSA never
-  /// reactivate a tag mid-run), so a frame costs O(backlog), not O(tags).
+  /// only drop newly identified tags from the previous set (no protocol
+  /// reactivates a tag mid-run), so a frame costs O(backlog), not O(tags).
   std::span<const std::size_t> gatherActive(std::span<const tags::Tag> tags);
 
-  /// Runs one frame: every tag in the last gatherActive() set draws a slot
-  /// uniformly in [0, frameSize); draws landing in [0, slotsToRun) are
-  /// committed to tags[idx].slotChoice and contend (budget-truncated frames
-  /// run only that prefix — a tag whose slot never runs keeps its previous
-  /// slotChoice and stays active). In kBatched mode the CSR batch goes
-  /// through SlotEngine::runSlotsBatch, in kScalar mode each slot through
-  /// runSlot; the returned span holds the slotsToRun effective per-slot
-  /// verdicts (the runSlot return values), valid until the next runFrame
-  /// call. Throws PreconditionError, before any scratch grows, when the
-  /// frame's rows (every active tag plus slotsToRun × the blockers) could
-  /// overflow the batch's 32-bit CSR indexing.
+  /// The draw step: every tag in the last gatherActive() set draws a slot
+  /// uniformly in [0, frameSize), and the draws landing in [0, slotsToRun)
+  /// become the returned batch's rows (budget-truncated frames lay out only
+  /// that prefix; a tag whose slot never runs does not contend this
+  /// frame). The batch is valid until the next drawFrame or runFrame call.
+  /// Throws PreconditionError, before any tag draws or any scratch grows,
+  /// when called before beginRound, when the prefix is empty or longer
+  /// than the frame, or when the rows (every active tag plus slotsToRun ×
+  /// the blockers) could overflow the batch's 32-bit CSR indexing.
+  sim::SlotBatch drawFrame(std::size_t frameSize, std::size_t slotsToRun,
+                           common::Rng& rng);
+
+  /// Runs row `slot` of the last drawn frame as a one-slot batch through
+  /// SlotEngine::runSlotsBatch and returns its effective verdict. Running
+  /// every row in order is bit-identical to running the whole batch at
+  /// once; Q-adaptive does so because each verdict moves Q and may end the
+  /// round early.
+  phy::SlotType runRow(sim::SlotEngine& engine, std::span<tags::Tag> tags,
+                       std::size_t slot, common::Rng& rng);
+
+  /// Runs one frame over the last gatherActive() set. In kBatched mode it
+  /// is drawFrame followed by one SlotEngine::runSlotsBatch over the whole
+  /// batch; in kScalar mode the same draws feed runSlot one slot at a time.
+  /// The returned span holds the slotsToRun effective per-slot verdicts
+  /// (the runSlot return values), valid until the next runFrame call.
+  /// Throws PreconditionError as drawFrame does.
   std::span<const phy::SlotType> runFrame(sim::SlotEngine& engine,
                                           std::span<tags::Tag> tags,
                                           std::size_t frameSize,
@@ -152,6 +172,8 @@ class FrameBatcher {
                                           common::Rng& rng);
 
  private:
+  void requireFrame(std::size_t frameSize, std::size_t slotsToRun) const;
+
   Protocol::FrameMode mode_ = Protocol::FrameMode::kBatched;
   const sim::TagSoA* soa_ = nullptr;
   sim::TagSoA ownSoa_;
@@ -163,9 +185,11 @@ class FrameBatcher {
   std::vector<std::uint32_t> draws_;
   /// Per-slot honest responder counts, then reused as placement cursors.
   std::vector<std::uint32_t> counts_;
-  /// The frame's CSR rows: each slot's honest drawers, then the blockers.
+  /// The drawn frame's CSR rows: each slot's honest drawers, then the
+  /// blockers. `rows_` is the slot count drawFrame laid out.
   std::vector<std::uint32_t> responders_;
   std::vector<std::uint32_t> offsets_;
+  std::size_t rows_ = 0;
   std::vector<phy::SlotType> detected_;
   /// kScalar emitter: per-slot responder lists (honest, then blockers).
   std::vector<std::vector<std::size_t>> buckets_;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "common/alloc_guard.hpp"
 #include "common/require.hpp"
 
 namespace rfid::anticollision {
@@ -20,80 +21,62 @@ std::string QAdaptive::name() const { return "Q-Adaptive[C=" + std::to_string(c_
 
 bool QAdaptive::run(sim::SlotEngine& engine, std::span<tags::Tag> tags,
                     common::Rng& rng) {
-  std::vector<std::size_t> blockers;
-  blockerIndicesInto(tags, blockers);
-  std::vector<std::size_t> responders;
+  return runRounds(engine, tags, rng, nullptr);
+}
+
+bool QAdaptive::runWithSnapshot(sim::SlotEngine& engine,
+                                std::span<tags::Tag> tags, common::Rng& rng,
+                                const sim::TagSoA& soa) {
+  return runRounds(engine, tags, rng, &soa);
+}
+
+// rfid:noexcept-allow: beginRound, drawFrame and runRow carry test-pinned
+// REQUIREs
+bool QAdaptive::runRounds(sim::SlotEngine& engine, std::span<tags::Tag> tags,
+                          common::Rng& rng, const sim::TagSoA* soa) {
+  batcher_.beginRound(tags, engine, soa);
+  // beginRound's private snapshot gather may allocate; the rounds may not.
+  ALLOC_GUARD_HOT();
   double qFp = initialQ_;
   std::size_t slotsUsed = 0;
-
-  // Q-adaptive cannot emit frames as slot batches: slot s's verdict feeds
-  // slot s+1's responder set (collisions silence their responders until the
-  // next Query, and a Q nudge aborts the frame early), so the frame is not
-  // known at frame start. It stays on the scalar runSlot path and ignores
-  // Protocol::FrameMode; only the budget-consistent frame accounting below
-  // is shared with the batched protocols.
-  std::vector<std::size_t> active;
-  activeTagIndicesInto(tags, active);
-  while (!active.empty()) {
+  while (!batcher_.gatherActive(tags).empty()) {
     // A round whose budget is already spent starts no frame (and records
     // none) — same accounting as FSA/DFSA (DESIGN.md §5e).
     if (slotsUsed >= maxSlots()) {
       return false;
     }
     // Query / QueryAdjust: every active tag (including previously collided,
-    // silent ones) redraws its slot counter in [0, 2^Q).
+    // silent ones) redraws its slot in [0, 2^Q).
     engine.metrics().recordFrame();
     const auto q = static_cast<unsigned>(std::lround(qFp));
-    const std::uint64_t frame = std::uint64_t{1} << q;
-    for (const std::size_t idx : active) {
-      tags[idx].slotChoice = static_cast<std::uint32_t>(rng.below(frame));
-    }
+    const std::size_t frame = std::size_t{1} << q;
+    const std::size_t slotsToRun = std::min(frame, maxSlots() - slotsUsed);
+    batcher_.drawFrame(frame, slotsToRun, rng);
 
-    std::uint64_t slotsLeft = frame;
+    // QueryRep through the drawn rows until round(Q) moves. Collided and
+    // unacknowledged responders need no bookkeeping: they drew this slot,
+    // so they stay silent for the rest of the round.
     bool qChanged = false;
-    while (slotsLeft > 0 && !qChanged) {
-      if (slotsUsed++ >= maxSlots()) {
-        return false;
-      }
-      responders.clear();
-      for (const std::size_t idx : active) {
-        if (!tags[idx].believesIdentified && tags[idx].slotChoice == 0) {
-          responders.push_back(idx);
-        }
-      }
-      responders.insert(responders.end(), blockers.begin(), blockers.end());
-
-      const phy::SlotType detected = engine.runSlot(tags, responders, rng);
-      switch (detected) {
+    std::size_t slot = 0;
+    while (slot < slotsToRun && !qChanged) {
+      const phy::SlotType verdict = batcher_.runRow(engine, tags, slot, rng);
+      ++slot;
+      switch (verdict) {
         case phy::SlotType::kIdle:
           qFp = std::max(0.0, qFp - c_);
           break;
         case phy::SlotType::kCollided:
           qFp = std::min(maxQ_, qFp + c_);
-          // Unacknowledged responders arbitrate: silent until the next
-          // Query/QueryAdjust.
-          for (const std::size_t idx : responders) {
-            if (!tags[idx].blocker && !tags[idx].believesIdentified) {
-              tags[idx].slotChoice = tags::kSlotSilent;
-            }
-          }
           break;
         case phy::SlotType::kSingle:
           break;  // the engine already silenced the acknowledged tag(s)
       }
-
-      // QueryRep: surviving tags decrement their counters.
-      for (const std::size_t idx : active) {
-        tags::Tag& t = tags[idx];
-        if (!t.believesIdentified && t.slotChoice != tags::kSlotSilent &&
-            t.slotChoice > 0) {
-          --t.slotChoice;
-        }
-      }
-      --slotsLeft;
       qChanged = static_cast<unsigned>(std::lround(qFp)) != q;
     }
-    activeTagIndicesInto(tags, active);
+    slotsUsed += slot;
+    if (!qChanged && slotsToRun < frame) {
+      return false;  // budget exhausted mid-round
+    }
   }
   return true;
 }

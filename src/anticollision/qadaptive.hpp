@@ -3,8 +3,12 @@
 // The reader keeps a floating-point Q and announces frames of 2^Q slots.
 // Each idle slot nudges Q down by C, each collided slot nudges it up by C;
 // when round(Q) changes, the reader cuts the frame short with a QueryAdjust
-// and the surviving tags redraw their slot counters. Collided tags go
-// silent until the next Query/QueryAdjust.
+// and the surviving tags redraw their slots. A tag replies only in the
+// slot it drew: one the reader did not acknowledge stays silent until the
+// next Query/QueryAdjust, as Gen2's arbitrate state prescribes.
+//
+// FrameBatcher draws each Query round once; the round's rows then run one
+// at a time, because each verdict moves Q and may end the round.
 #pragma once
 
 #include "anticollision/protocol.hpp"
@@ -20,11 +24,17 @@ class QAdaptive final : public Protocol {
   std::string name() const override;
   bool run(sim::SlotEngine& engine, std::span<tags::Tag> tags,
            common::Rng& rng) override;
+  bool runWithSnapshot(sim::SlotEngine& engine, std::span<tags::Tag> tags,
+                       common::Rng& rng, const sim::TagSoA& soa) override;
 
  private:
+  bool runRounds(sim::SlotEngine& engine, std::span<tags::Tag> tags,
+                 common::Rng& rng, const sim::TagSoA* soa);
+
   double initialQ_;
   double c_;
   double maxQ_;
+  FrameBatcher batcher_;
 };
 
 }  // namespace rfid::anticollision

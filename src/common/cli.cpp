@@ -2,6 +2,7 @@
 
 #include <array>
 #include <cctype>
+#include <cerrno>
 #include <charconv>
 #include <cstdlib>
 #include <iostream>
@@ -188,8 +189,11 @@ std::uint64_t envOr(const char* name, std::uint64_t fallback) {
   while (std::isspace(static_cast<unsigned char>(*start)) != 0) ++start;
   if (*start == '-') return fallback;
   char* end = nullptr;
+  errno = 0;
   const unsigned long long parsed = std::strtoull(start, &end, 10);
-  if (end == start || *end != '\0') return fallback;
+  // Out of range, strtoull saturates at 2^64-1 and sets ERANGE; a count
+  // that large is no more valid than a negative one.
+  if (end == start || *end != '\0' || errno == ERANGE) return fallback;
   return parsed;
 }
 

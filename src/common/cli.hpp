@@ -52,8 +52,8 @@ class ArgParser {
 };
 
 /// Reads an unsigned integer from environment variable `name`, returning
-/// `fallback` when unset or unparsable. Used for RFID_ROUNDS overrides in
-/// bench binaries.
+/// `fallback` when unset or unparsable: empty, negative, trailing garbage,
+/// or past 2^64-1. Used for RFID_ROUNDS overrides in bench binaries.
 std::uint64_t envOr(const char* name, std::uint64_t fallback);
 
 /// Reads a floating-point value from environment variable `name`, returning

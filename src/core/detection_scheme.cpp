@@ -14,14 +14,11 @@ BitVec DetectionScheme::idFromContention(const BitVec& /*signal*/) const {
                             "this scheme has no ID in the contention signal");
 }
 
-void DetectionScheme::contentionSignalInto(const tags::Tag& tag,
-                                           common::Rng& tagRng,
-                                           BitVec& out) const {
-  // Fallback for custom schemes without an in-place override.
-  ALLOC_GUARD_ALLOW(
-      "allocating by contract: the allocation-free guarantee only covers "
-      "built-in schemes");
-  out = contentionSignal(tag, tagRng);
+BitVec DetectionScheme::contentionSignal(const tags::Tag& tag,
+                                         common::Rng& tagRng) const {
+  BitVec out;
+  contentionSignalInto(tag, tagRng, out);
+  return out;
 }
 
 void DetectionScheme::packedStaticSignal(const tags::Tag& tag,
@@ -123,13 +120,6 @@ std::size_t CrcCdScheme::contentionBits() const {
   return air().idBits + engine_.spec().width;
 }
 
-BitVec CrcCdScheme::contentionSignal(const tags::Tag& tag,
-                                     common::Rng& tagRng) const {
-  BitVec out;
-  contentionSignalInto(tag, tagRng, out);
-  return out;
-}
-
 // rfid:noexcept-allow: the ID-length REQUIRE is a test-pinned public contract
 void CrcCdScheme::contentionSignalInto(const tags::Tag& tag,
                                        common::Rng& /*tagRng*/,
@@ -224,13 +214,6 @@ std::string QcdScheme::name() const {
 
 std::size_t QcdScheme::contentionBits() const { return preamble_.bits(); }
 
-BitVec QcdScheme::contentionSignal(const tags::Tag& tag,
-                                   common::Rng& tagRng) const {
-  BitVec out;
-  contentionSignalInto(tag, tagRng, out);
-  return out;
-}
-
 // rfid:noexcept-allow: encodeInto carries the r-range REQUIRE
 void QcdScheme::contentionSignalInto(const tags::Tag& /*tag*/,
                                      common::Rng& tagRng, BitVec& out) const {
@@ -301,13 +284,6 @@ std::size_t CrcPreambleScheme::contentionBits() const {
   return randomBits_ + engine_.spec().width;
 }
 
-BitVec CrcPreambleScheme::contentionSignal(const tags::Tag& tag,
-                                           common::Rng& tagRng) const {
-  BitVec out;
-  contentionSignalInto(tag, tagRng, out);
-  return out;
-}
-
 // rfid:noexcept-allow: BitVec's word accessors carry range REQUIREs
 void CrcPreambleScheme::contentionSignalInto(const tags::Tag& /*tag*/,
                                              common::Rng& tagRng,
@@ -346,11 +322,6 @@ IdealScheme::IdealScheme(phy::AirInterface air) : DetectionScheme(air) {}
 std::string IdealScheme::name() const { return "Ideal[oracle]"; }
 
 std::size_t IdealScheme::contentionBits() const { return air().idBits; }
-
-BitVec IdealScheme::contentionSignal(const tags::Tag& tag,
-                                     common::Rng& /*tagRng*/) const {
-  return tag.id;
-}
 
 // rfid:noexcept-allow: sliceInto validates the slice range
 void IdealScheme::contentionSignalInto(const tags::Tag& tag,

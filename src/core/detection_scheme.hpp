@@ -40,18 +40,18 @@ class DetectionScheme {
 
   /// The bits a responding tag transmits in the contention phase. Blocker
   /// tags are handled by the engine (they jam with all-ones) — this is the
-  /// honest-tag behaviour.
+  /// honest-tag behaviour. Renders through contentionSignalInto into a
+  /// fresh BitVec, so a scheme writes its signal once.
   virtual common::BitVec contentionSignal(const tags::Tag& tag,
-                                          common::Rng& tagRng) const = 0;
+                                          common::Rng& tagRng) const;
 
-  /// In-place variant of contentionSignal: writes the contention bits into
-  /// `out`, reusing its word storage. The slot engine calls this on
-  /// per-responder scratch so steady-state slots perform zero heap
-  /// allocations; every built-in scheme overrides it allocation-free. The
-  /// base implementation falls back to the allocating form so custom
-  /// schemes stay correct without overriding.
+  /// In-place form of contentionSignal, the one every scheme writes: the
+  /// contention bits go into `out`, reusing its word storage. The slot
+  /// engine calls this on per-responder scratch so steady-state slots
+  /// perform zero heap allocations; every built-in scheme writes it
+  /// allocation-free.
   virtual void contentionSignalInto(const tags::Tag& tag, common::Rng& tagRng,
-                                    common::BitVec& out) const;
+                                    common::BitVec& out) const = 0;
 
   /// Classifies the superposed contention signal. `trueResponders` is
   /// ground truth available only to oracle schemes (the ideal lower bound);
@@ -150,8 +150,6 @@ class CrcCdScheme final : public DetectionScheme {
 
   std::string name() const override;
   std::size_t contentionBits() const override;
-  common::BitVec contentionSignal(const tags::Tag& tag,
-                                  common::Rng& tagRng) const override;
   void contentionSignalInto(const tags::Tag& tag, common::Rng& tagRng,
                             common::BitVec& out) const override;
   phy::SlotType classify(const std::optional<common::BitVec>& signal,
@@ -190,8 +188,6 @@ class QcdScheme final : public DetectionScheme {
 
   std::string name() const override;
   std::size_t contentionBits() const override;
-  common::BitVec contentionSignal(const tags::Tag& tag,
-                                  common::Rng& tagRng) const override;
   void contentionSignalInto(const tags::Tag& tag, common::Rng& tagRng,
                             common::BitVec& out) const override;
   phy::SlotType classify(const std::optional<common::BitVec>& signal,
@@ -234,8 +230,6 @@ class CrcPreambleScheme final : public DetectionScheme {
 
   std::string name() const override;
   std::size_t contentionBits() const override;
-  common::BitVec contentionSignal(const tags::Tag& tag,
-                                  common::Rng& tagRng) const override;
   void contentionSignalInto(const tags::Tag& tag, common::Rng& tagRng,
                             common::BitVec& out) const override;
   phy::SlotType classify(const std::optional<common::BitVec>& signal,
@@ -261,8 +255,6 @@ class IdealScheme final : public DetectionScheme {
 
   std::string name() const override;
   std::size_t contentionBits() const override;
-  common::BitVec contentionSignal(const tags::Tag& tag,
-                                  common::Rng& tagRng) const override;
   void contentionSignalInto(const tags::Tag& tag, common::Rng& tagRng,
                             common::BitVec& out) const override;
   phy::SlotType classify(const std::optional<common::BitVec>& signal,

@@ -34,6 +34,7 @@
 #include "anticollision/bt.hpp"
 #include "anticollision/dfsa.hpp"
 #include "anticollision/protocol.hpp"
+#include "anticollision/qadaptive.hpp"
 #include "anticollision/qt.hpp"
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
@@ -288,6 +289,18 @@ TEST_F(AllocGuardCensus, TreeWalkersSingleThread) {
     runCensus(*protocol, crc, ChannelKind::kImpaired, /*tagCount=*/300,
               /*seed=*/12);
   }
+}
+
+TEST_F(AllocGuardCensus, QAdaptiveSingleThread) {
+  // Q-adaptive draws each Query round once and runs its rows one at a
+  // time, clean and impaired.
+  const rfid::core::QcdScheme qcd(air_, 8);
+  const rfid::core::CrcCdScheme crc(air_);
+  rfid::anticollision::QAdaptive qAdaptive;
+  runCensus(qAdaptive, qcd, ChannelKind::kClean, /*tagCount=*/300,
+            /*seed=*/13);
+  runCensus(qAdaptive, crc, ChannelKind::kImpaired, /*tagCount=*/300,
+            /*seed=*/14);
 }
 
 TEST_F(AllocGuardCensus, FourPoolThreadsStayGuardClean) {

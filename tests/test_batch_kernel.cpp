@@ -154,8 +154,7 @@ bool tagsEqual(const std::vector<Tag>& a, const std::vector<Tag>& b) {
   for (std::size_t i = 0; i < a.size(); ++i) {
     if (a[i].believesIdentified != b[i].believesIdentified ||
         a[i].correctlyIdentified != b[i].correctlyIdentified ||
-        a[i].identifiedAtMicros != b[i].identifiedAtMicros ||
-        a[i].slotChoice != b[i].slotChoice) {
+        a[i].identifiedAtMicros != b[i].identifiedAtMicros) {
       return false;
     }
   }
@@ -553,9 +552,6 @@ TEST(PackedPrimitives, TagSoAGatherSnapshotsTagState) {
   auto tags = rfid::tags::makeUniformPopulation(12, 64, rng);
   tags[0].blocker = true;
   tags[3].blocker = true;
-  for (std::size_t i = 0; i < tags.size(); ++i) {
-    tags[i].slotChoice = static_cast<std::uint32_t>(7 * i + 1);
-  }
 
   const CrcCdScheme crcCd{AirInterface{}};
   TagSoA soa;

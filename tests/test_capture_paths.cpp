@@ -100,9 +100,11 @@ class EnergyDetectScheme final : public rfid::core::DetectionScheme {
   explicit EnergyDetectScheme(AirInterface air) : DetectionScheme(air) {}
   std::string name() const override { return "energy-detect"; }
   std::size_t contentionBits() const override { return air().idBits; }
-  rfid::common::BitVec contentionSignal(const rfid::tags::Tag& tag,
-                                        rfid::common::Rng&) const override {
-    return tag.id;
+  void contentionSignalInto(const rfid::tags::Tag& tag, rfid::common::Rng&,
+                            rfid::common::BitVec& out) const override {
+    // In-place copy, as the built-in schemes do: the engine calls this
+    // inside its allocation guard.
+    tag.id.sliceInto(0, tag.id.size(), out);
   }
   rfid::phy::SlotType classify(const std::optional<rfid::common::BitVec>& s,
                                std::size_t) const override {

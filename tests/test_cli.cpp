@@ -131,6 +131,12 @@ TEST(EnvOr, ReadsAndFallsBack) {
   EXPECT_EQ(envOr("RFID_TEST_ENV", 7), 123u);
   ::setenv("RFID_TEST_ENV", "notanumber", 1);
   EXPECT_EQ(envOr("RFID_TEST_ENV", 7), 7u);
+  // 2^64 - 1 is the largest value that reads; one past it is out of range
+  // (strtoull would saturate it to 2^64 - 1) and keeps the fallback.
+  ::setenv("RFID_TEST_ENV", "18446744073709551615", 1);
+  EXPECT_EQ(envOr("RFID_TEST_ENV", 7), 18446744073709551615u);
+  ::setenv("RFID_TEST_ENV", "18446744073709551616", 1);
+  EXPECT_EQ(envOr("RFID_TEST_ENV", 7), 7u);
   ::unsetenv("RFID_TEST_ENV");
   EXPECT_EQ(envOr("RFID_TEST_ENV", 7), 7u);
 }

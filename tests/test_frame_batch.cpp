@@ -5,9 +5,10 @@
 // metrics (including the floating-point airtime clock), same tag state,
 // same observer events, same RNG consumption, same return value — across
 // estimators, blockers, capture/impaired-channel fallbacks, ackVerify,
-// budget truncation, and SIMD dispatch modes. The budget-consistent frame
-// accounting (no frame recorded once the budget is spent, no stale
-// slotChoice writes past a truncation point) is pinned here too, as is a
+// budget truncation, and SIMD dispatch modes. Running a drawn frame row by
+// row (Q-adaptive's path) must match running it whole. The budget-
+// consistent frame accounting (no frame recorded once the budget is spent,
+// no tag contending past a truncation point) is pinned here too, as is a
 // vogtContenderEstimate regression over a census read off batched verdicts.
 #include <gtest/gtest.h>
 
@@ -130,8 +131,7 @@ bool tagsEqual(const std::vector<Tag>& a, const std::vector<Tag>& b) {
   for (std::size_t i = 0; i < a.size(); ++i) {
     if (a[i].believesIdentified != b[i].believesIdentified ||
         a[i].correctlyIdentified != b[i].correctlyIdentified ||
-        a[i].identifiedAtMicros != b[i].identifiedAtMicros ||
-        a[i].slotChoice != b[i].slotChoice) {
+        a[i].identifiedAtMicros != b[i].identifiedAtMicros) {
       return false;
     }
   }
@@ -318,22 +318,84 @@ TEST(FrameBatch, NoFrameRecordedOnceBudgetIsSpent) {
 }
 
 TEST(FrameBatch, NoStaleSlotChoicePastTruncationPoint) {
-  // Frame 1024 truncated to a 3-slot budget: a tag whose draw lands past
-  // slot 2 never contends, so its slotChoice must keep the sentinel the
-  // round started with (the old loop committed every draw).
-  constexpr std::uint32_t kSentinel = 0xDEADBEEFu;
+  // Frame 16 truncated to a 3-slot budget: a tag whose draw lands past
+  // slot 2 never contends. Replaying the frame's draws on a copy of the
+  // RNG says how many tags respond in the 3 slots that run.
   for (const Protocol::FrameMode mode :
        {Protocol::FrameMode::kScalar, Protocol::FrameMode::kBatched}) {
     Rig rig(qcd(8), orChannel, 12, 61, 0, false);
-    for (Tag& tag : rig.tags) {
-      tag.slotChoice = kSentinel;
+    Rng replay = rig.rng;
+    std::size_t inPrefix = 0;
+    for (std::size_t k = 0; k < rig.tags.size(); ++k) {
+      if (replay.below(16) < 3) {
+        ++inPrefix;
+      }
     }
-    FramedSlottedAloha protocol(1024, /*maxSlots=*/3);
+    ASSERT_GT(inPrefix, 0u);
+    ASSERT_LT(inPrefix, rig.tags.size());
+    RecordingObserver observer;
+    rig.engine.setObserver(&observer);
+    FramedSlottedAloha protocol(16, /*maxSlots=*/3);
     protocol.setFrameMode(mode);
     EXPECT_FALSE(protocol.run(rig.engine, rig.tags, rig.rng));
-    for (const Tag& tag : rig.tags) {
-      EXPECT_TRUE(tag.slotChoice < 3 || tag.slotChoice == kSentinel)
-          << "stale slotChoice " << tag.slotChoice;
+    ASSERT_EQ(observer.events().size(), 3u);
+    std::size_t responders = 0;
+    for (const auto& event : observer.events()) {
+      responders += event.responders;
+    }
+    EXPECT_EQ(responders, inPrefix);
+    EXPECT_LE(rfid::tags::countBelievedIdentified(rig.tags), inPrefix);
+  }
+}
+
+TEST(FrameBatch, RowByRowMatchesWholeFrame) {
+  // Q-adaptive's path: one frame's draws run row by row through runRow
+  // must match the same draws run as one batch through runFrame — on the
+  // packed OR path and the capture fallback, per-slot and static schemes,
+  // with and without a blocker in every row, and a budget-truncated
+  // prefix (40 of 48 slots).
+  const ChannelFactory capture = [] {
+    return ChannelPair{nullptr, std::make_unique<CaptureChannel>(0.5)};
+  };
+  const SchemeFactory crcCd = [] {
+    return std::make_unique<rfid::core::CrcCdScheme>(AirInterface{});
+  };
+  for (const ChannelFactory& channel : {ChannelFactory{orChannel}, capture}) {
+    for (const SchemeFactory& scheme : {qcd(8), crcCd}) {
+      for (const std::size_t blockers : {0u, 1u}) {
+        Rig whole(scheme, channel, 60, 107, blockers, false);
+        Rig rows(scheme, channel, 60, 107, blockers, false);
+        RecordingObserver wholeObs;
+        RecordingObserver rowsObs;
+        whole.engine.setObserver(&wholeObs);
+        rows.engine.setObserver(&rowsObs);
+
+        FrameBatcher wholeBatcher;
+        wholeBatcher.beginRound(whole.tags, whole.engine, nullptr);
+        wholeBatcher.gatherActive(whole.tags);
+        const auto verdicts =
+            wholeBatcher.runFrame(whole.engine, whole.tags, 48, 40, whole.rng);
+
+        FrameBatcher rowBatcher;
+        rowBatcher.beginRound(rows.tags, rows.engine, nullptr);
+        rowBatcher.gatherActive(rows.tags);
+        ASSERT_EQ(rowBatcher.drawFrame(48, 40, rows.rng).slotCount(), 40u);
+        for (std::size_t slot = 0; slot < 40; ++slot) {
+          EXPECT_EQ(rowBatcher.runRow(rows.engine, rows.tags, slot, rows.rng),
+                    verdicts[slot])
+              << "slot " << slot;
+        }
+        EXPECT_THROW(rowBatcher.runRow(rows.engine, rows.tags, 40, rows.rng),
+                     PreconditionError);
+
+        EXPECT_TRUE(metricsEqual(whole.metrics, rows.metrics));
+        EXPECT_TRUE(tagsEqual(whole.tags, rows.tags));
+        EXPECT_TRUE(eventsEqual(wholeObs, rowsObs));
+        EXPECT_EQ(whole.rng(), rows.rng());
+        if (blockers == 0) {
+          EXPECT_GT(whole.metrics.identified(), 0u);
+        }
+      }
     }
   }
 }
@@ -411,30 +473,14 @@ TEST(FrameBatch, VogtEstimateFromBatchedCensusMatchesScalar) {
   FrameBatcher batcher;
   batcher.beginRound(batch.tags, batch.engine, nullptr);
   batcher.gatherActive(batch.tags);
-  const auto verdicts =
-      batcher.runFrame(batch.engine, batch.tags, kFrame, kFrame, batch.rng);
-  FrameCensus batchCensus;
-  batchCensus.frameSize = kFrame;
-  for (const SlotType verdict : verdicts) {
-    switch (verdict) {
-      case SlotType::kIdle:
-        ++batchCensus.idle;
-        break;
-      case SlotType::kSingle:
-        ++batchCensus.single;
-        break;
-      case SlotType::kCollided:
-        ++batchCensus.collided;
-        break;
-    }
-  }
+  const FrameCensus batchCensus = rfid::anticollision::tallyFrame(
+      batcher.runFrame(batch.engine, batch.tags, kFrame, kFrame, batch.rng));
+  EXPECT_EQ(batchCensus.frameSize, kFrame);
 
   // Scalar reference: same draws, slot by slot.
   std::vector<std::vector<std::size_t>> buckets(kFrame);
   for (std::size_t i = 0; i < scalar.tags.size(); ++i) {
-    const auto slot = static_cast<std::uint32_t>(scalar.rng.below(kFrame));
-    scalar.tags[i].slotChoice = slot;
-    buckets[slot].push_back(i);
+    buckets[scalar.rng.below(kFrame)].push_back(i);
   }
   FrameCensus scalarCensus;
   scalarCensus.frameSize = kFrame;

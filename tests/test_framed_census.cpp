@@ -7,11 +7,16 @@
 // Each case hashes every SlotEvent, the run's result, each tag's
 // identification flags, and one RNG draw after the run.
 //
+// Q-adaptive runs the same grid and its own BSC rows.
+//
 // Every case runs in both frame modes against one constant. The scalar-vs-
 // batched differential tests compare two emitters under one frame loop, so
 // a change to that loop moves both sides and passes them; these constants
 // were produced by the separate FSA and DFSA frame loops that FramedAloha
-// replaced, and pin the shared loop to bit-identity with them.
+// replaced, and pin the shared loop to bit-identity with them. The
+// Q-adaptive constants were produced by its per-slot countdown loop,
+// before FrameBatcher drew its rounds; Q-adaptive ignores the frame mode,
+// so both modes must read the same constant.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -52,6 +57,7 @@ constexpr std::size_t kFrame = 64;
 /// With a blocker every slot reads collided, so no run ends on its own.
 /// The cap cuts FSA's 7th frame after 16 slots, DFSA/Vogt's 2nd frame
 /// (64, 1040) and the other DFSA runs' 3rd (64, 128, 256 and 64, 153, 366).
+/// Q-adaptive's Q climbs to 15, and the cap cuts a 2^15-slot round.
 constexpr std::size_t kBlockerCap = 400;
 
 std::string describe(const Case& c) {
@@ -172,6 +178,21 @@ const std::vector<Case>& pinnedCases() {
       {ProtocolKind::kDfsaSchoute, false, false, true, 21, 0x52c7b2ddc4ae7533ull},
       {ProtocolKind::kDfsaSchoute, false, false, true, 22, 0x04033915cad9ee3dull},
       {ProtocolKind::kDfsaSchoute, false, false, true, 23, 0xc08c35034c9d6267ull},
+      {ProtocolKind::kQAdaptive, false, false, false, 21, 0x988a562a97767f78ull},
+      {ProtocolKind::kQAdaptive, false, false, false, 22, 0x3185dd296d09ae69ull},
+      {ProtocolKind::kQAdaptive, false, false, false, 23, 0x5ac55ac597c29ce9ull},
+      {ProtocolKind::kQAdaptive, false, true, false, 21, 0x060467d5b35967d3ull},
+      {ProtocolKind::kQAdaptive, false, true, false, 22, 0x5bf5c92c18e502c5ull},
+      {ProtocolKind::kQAdaptive, false, true, false, 23, 0xc496563fe86ff055ull},
+      {ProtocolKind::kQAdaptive, true, false, false, 21, 0xb6084561d38c1a7aull},
+      {ProtocolKind::kQAdaptive, true, false, false, 22, 0x84cd66b889ea4256ull},
+      {ProtocolKind::kQAdaptive, true, false, false, 23, 0xe80b9396007a5b67ull},
+      {ProtocolKind::kQAdaptive, true, true, false, 21, 0x59051e3bdeb2dfa4ull},
+      {ProtocolKind::kQAdaptive, true, true, false, 22, 0x5a7659173dd9d799ull},
+      {ProtocolKind::kQAdaptive, true, true, false, 23, 0xfb3743b4b548d0afull},
+      {ProtocolKind::kQAdaptive, false, false, true, 21, 0x95ebd52839045544ull},
+      {ProtocolKind::kQAdaptive, false, false, true, 22, 0xc2b539f941ff687eull},
+      {ProtocolKind::kQAdaptive, false, false, true, 23, 0xf128eb617773bda9ull},
   };
   return kCases;
 }
@@ -207,6 +228,12 @@ TEST(FramedCensus, DfsaVogtSlotSequencesArePinned) {
 }
 TEST(FramedCensus, ImpairedDfsaSlotSequencesArePinned) {
   expectPinned(ProtocolKind::kDfsaSchoute, true);
+}
+TEST(FramedCensus, QAdaptiveSlotSequencesArePinned) {
+  expectPinned(ProtocolKind::kQAdaptive, false);
+}
+TEST(FramedCensus, ImpairedQAdaptiveSlotSequencesArePinned) {
+  expectPinned(ProtocolKind::kQAdaptive, true);
 }
 
 }  // namespace

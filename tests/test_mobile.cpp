@@ -1,8 +1,11 @@
 // Mobile-tag scenario: arrival accounting, miss-rate behaviour vs dwell and
 // scheme, and progress guarantees (including the zero-airtime oracle).
-#include "sim/mobile.hpp"
+#include "anticollision/mobile.hpp"
 
 #include <gtest/gtest.h>
+
+#include <cmath>
+#include <ios>
 
 #include "common/require.hpp"
 #include "common/rng.hpp"
@@ -16,9 +19,9 @@ using rfid::core::CrcCdScheme;
 using rfid::core::IdealScheme;
 using rfid::core::QcdScheme;
 using rfid::phy::AirInterface;
-using rfid::sim::MobileConfig;
-using rfid::sim::MobileResult;
-using rfid::sim::runMobileScenario;
+using rfid::anticollision::MobileConfig;
+using rfid::anticollision::MobileResult;
+using rfid::anticollision::runMobileScenario;
 
 MobileConfig baseConfig() {
   MobileConfig cfg;
@@ -113,6 +116,42 @@ TEST(Mobile, Validation) {
   cfg = baseConfig();
   cfg.horizonMicros = -1.0;
   EXPECT_THROW(runMobileScenario(qcd, cfg, rng), PreconditionError);
+}
+
+TEST(Mobile, ResultsArePinned) {
+  // Generated by the per-slot inventory loop that FrameBatcher's frames
+  // replaced. The counts must stay exact. The time-to-read terms are now
+  // summed in tag order rather than slot order, so the mean may move in
+  // its last bits.
+  struct Pinned {
+    const char* scheme;
+    std::size_t arrived;
+    std::size_t identified;
+    std::size_t missed;
+    double meanTimeToReadMicros;
+  };
+  const CrcCdScheme crc{AirInterface{}};
+  const QcdScheme qcd{AirInterface{}, 8};
+  const IdealScheme ideal{AirInterface{}};
+  const rfid::core::DetectionScheme* schemes[] = {&crc, &qcd, &ideal};
+  const Pinned pinned[] = {
+      {"CRC-CD", 203, 127, 76, 0x1.75a38b314fd26p+9},
+      {"QCD-8", 192, 192, 0, 0x1.cd40dd0f464e9p+7},
+      {"Ideal", 186, 186, 0, 0x1.0b729d017e2e4p+6},
+  };
+  for (std::size_t k = 0; k < 3; ++k) {
+    MobileConfig cfg = baseConfig();
+    cfg.dwellMicros = 600.0;
+    Rng rng(11);
+    const MobileResult r = runMobileScenario(*schemes[k], cfg, rng);
+    const Pinned& p = pinned[k];
+    EXPECT_EQ(r.arrived, p.arrived) << p.scheme;
+    EXPECT_EQ(r.identified, p.identified) << p.scheme;
+    EXPECT_EQ(r.missed, p.missed) << p.scheme;
+    EXPECT_NEAR(r.meanTimeToReadMicros, p.meanTimeToReadMicros,
+                1e-12 * std::abs(p.meanTimeToReadMicros))
+        << p.scheme << ": " << std::hexfloat << r.meanTimeToReadMicros;
+  }
 }
 
 TEST(Mobile, DeterministicGivenSeed) {

@@ -67,13 +67,12 @@ TEST(Population, ResetForRoundKeepsIdentity) {
   tags[0].believesIdentified = true;
   tags[0].correctlyIdentified = true;
   tags[0].identifiedAtMicros = 12.5;
-  tags[0].slotChoice = 3;
   const std::uint64_t id = tags[0].idValue;
   tags[0].resetForRound();
   EXPECT_EQ(tags[0].idValue, id);
   EXPECT_FALSE(tags[0].believesIdentified);
   EXPECT_FALSE(tags[0].correctlyIdentified);
-  EXPECT_EQ(tags[0].slotChoice, 0u);
+  EXPECT_EQ(tags[0].identifiedAtMicros, 0.0);
 }
 
 TEST(Population, BlockerIsAllOnes) {
