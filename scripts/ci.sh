@@ -36,8 +36,12 @@
 # `git worktree` (removed on exit) and the working tree in build/, runs
 # each named bench binary at RFID_ROUNDS=5 in both builds, and diffs their
 # stdout. Without bench names it runs the framed-path and tree-family
-# benches the bit-identity contract covers (DESIGN.md §5d-§5f). Exits
-# nonzero when any output differs.
+# benches the bit-identity contract covers (DESIGN.md §5d-§5f), plus four
+# that reach the BitVec and population paths they skip: the impairment
+# passes (ablation_channel_noise), the CRC-preamble scheme
+# (ablation_preamble_checksum), vectors longer than 128 bits
+# (ablation_privacy) and short IDs with dense dedup (ablation_id_length).
+# Exits nonzero when any output differs.
 #
 # `sh scripts/ci.sh lint [--diff BASE]` runs the static-analysis gate
 # (clang-tidy with the checked-in .clang-tidy,
@@ -66,7 +70,9 @@ if [ "$mode" = "identity" ]; then
     set -- table07_fsa_census lemma1_fsa_throughput ablation_estimators \
       table09_utilization ablation_qadaptive ablation_cardinality \
       ablation_mobile_tags ablation_tree_family lemma2_bt_slots \
-      table08_bt_census table03_ei_bt ablation_capture
+      table08_bt_census table03_ei_bt ablation_capture \
+      ablation_channel_noise ablation_preamble_checksum ablation_privacy \
+      ablation_id_length
   fi
   jobs="$(nproc 2>/dev/null || echo 4)"
   identdir=$(mktemp -d)

@@ -106,6 +106,7 @@ CardinalityEstimate estimateCardinality(const core::DetectionScheme& scheme,
     for (const std::size_t idx : contenders) {
       tags[idx].believesIdentified = false;
       tags[idx].correctlyIdentified = false;
+      tags[idx].identifiedAtMicros = 0.0;
     }
     perFrame.add(invertCensus(config.estimator, config.frameSize,
                               census.idle, census.single, census.collided));

@@ -134,6 +134,7 @@ AggregateResult runExperiment(const ExperimentConfig& config) {
         std::vector<tags::Tag> population = tags::makeUniformPopulation(
             config.tagCount, config.air.idBits, rng);
 
+        metrics.reserveIdentifications(config.tagCount);
         sim::SlotEngine engine(*scheme, liveChannel, metrics);
         engine.setRecoveryPolicy(config.recovery);
         engine.setObserver(config.observer);

@@ -44,7 +44,8 @@ struct ExperimentConfig {
   /// (physically complete accounting). See QcdScheme.
   bool qcdChargeIdPhase = true;
   std::size_t tagCount = 50;
-  /// FSA frame size / DFSA & Q-adaptive initial frame.
+  /// FSA frame size / DFSA initial frame. Q-adaptive ignores it:
+  /// makeProtocol always opens a Q-adaptive round at Q = 4 (16 slots).
   std::size_t frameSize = 30;
   phy::AirInterface air{};
   /// 0 = the paper's pure OR channel; > 0 enables the capture extension.

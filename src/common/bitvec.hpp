@@ -18,14 +18,24 @@
 //     receiver's word storage. The simulation hot path (one contention slot)
 //     is built exclusively from the in-place forms so steady-state slots
 //     perform zero heap allocations; the allocating forms delegate to them.
+//
+// Storage: up to two 64-bit words (128 bits) live inline, in a union with
+// the heap pointer, so a vector of 128 bits or fewer never allocates. That
+// holds every per-tag and per-slot signal the library renders: the ID
+// (l_id <= 64), the CRC-CD contention signal (l_id + l_crc <= 128) and the
+// QCD preamble (2·l <= 128). Longer vectors move to the heap; the private
+// resizeWords is the one site where an in-place operation grows storage.
+// Words that come into use read zero, and shrinking never releases
+// capacity. Moving a heap vector steals its buffer; a moved-from vector is
+// empty.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <string>
 #include <string_view>
-#include <vector>
 
 namespace rfid::common {
 
@@ -36,6 +46,12 @@ class BitVec {
 
   /// `nbits` bits, all initialised to `value`.
   explicit BitVec(std::size_t nbits, bool value = false);
+
+  BitVec(const BitVec& other);
+  BitVec(BitVec&& other) noexcept;
+  BitVec& operator=(const BitVec& other);
+  BitVec& operator=(BitVec&& other) noexcept;
+  ~BitVec();
 
   /// Builds a vector of `nbits` bits from the low bits of `value`.
   /// Requires nbits <= 64 and that `value` fits in `nbits` bits.
@@ -68,7 +84,7 @@ class BitVec {
   void set(std::size_t i, bool value);
 
   /// Number of 64-bit words backing the vector (ceil(size / 64)).
-  std::size_t words() const noexcept { return words_.size(); }
+  std::size_t words() const noexcept { return wordCount(size_); }
   /// Word `i` of the packed representation; bit b of the word is bit
   /// 64·i + b of the vector. Unused high bits of the last word are zero.
   std::uint64_t word(std::size_t i) const;
@@ -77,7 +93,9 @@ class BitVec {
   void setWord(std::size_t i, std::uint64_t value);
   /// The words() packed words, read-only, for word-level consumers such as
   /// CrcEngine::computeWords.
-  const std::uint64_t* data() const noexcept { return words_.data(); }
+  const std::uint64_t* data() const noexcept {
+    return onHeap() ? heap_ : inline_;
+  }
 
   /// True if at least one bit is 1 (an OR-channel carries energy).
   bool any() const noexcept;
@@ -130,7 +148,8 @@ class BitVec {
   std::string toString() const;
 
   friend bool operator==(const BitVec& a, const BitVec& b) noexcept {
-    return a.size_ == b.size_ && a.words_ == b.words_;
+    return a.size_ == b.size_ &&
+           std::equal(a.data(), a.data() + a.words(), b.data());
   }
   friend bool operator!=(const BitVec& a, const BitVec& b) noexcept {
     return !(a == b);
@@ -141,20 +160,38 @@ class BitVec {
 
  private:
   static constexpr std::size_t kWordBits = 64;
+  static constexpr std::size_t kInlineWords = 2;
 
-  static std::size_t wordCount(std::size_t nbits) {
+  static constexpr std::size_t wordCount(std::size_t nbits) noexcept {
     return (nbits + kWordBits - 1) / kWordBits;
   }
+  bool onHeap() const noexcept { return capacity_ > kInlineWords; }
+  std::uint64_t* wordPtr() noexcept { return onHeap() ? heap_ : inline_; }
   /// Zeroes the unused high bits of the last word so that the word array is
   /// canonical (equality and popcount rely on this).
   void clearPadding() noexcept;
-  /// words_.resize with the (rare) beyond-capacity growth sanctioned as
-  /// high-water-mark growth under the RFID_ENFORCE_HOT allocation guards;
-  /// in-place reuse within capacity stays enforced allocation-free.
+  /// Changes the live word count from words() to `nWords`; called before
+  /// size_ changes. New words read zero. Growth beyond capacity is
+  /// sanctioned as high-water-mark growth under the RFID_ENFORCE_HOT
+  /// allocation guards; in-place reuse within capacity stays enforced
+  /// allocation-free.
   void resizeWords(std::size_t nWords);
+  /// Moves the storage to a fresh heap buffer of `capacity` words that keeps
+  /// the first `keep` words. Not allow-scoped: a construction or copy that
+  /// allocates inside a guard is a violation, as it was with std::vector.
+  void reallocate(std::size_t capacity, std::size_t keep);
+  /// Frees the heap buffer, if any; the storage is inline afterwards.
+  void release() noexcept;
+  /// Takes `other`'s words (its heap buffer, or a copy of its inline
+  /// words) and leaves it empty. *this must hold no heap buffer.
+  void takeFrom(BitVec& other) noexcept;
 
-  std::vector<std::uint64_t> words_;
+  union {
+    std::uint64_t inline_[kInlineWords] = {};
+    std::uint64_t* heap_;  ///< active while capacity_ > kInlineWords
+  };
   std::size_t size_ = 0;
+  std::size_t capacity_ = kInlineWords;  ///< words the storage holds
 };
 
 }  // namespace rfid::common

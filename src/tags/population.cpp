@@ -1,6 +1,7 @@
 #include "tags/population.hpp"
 
-#include <unordered_set>
+#include <algorithm>
+#include <bit>
 
 #include "common/require.hpp"
 
@@ -17,18 +18,27 @@ std::vector<Tag> makeUniformPopulation(std::size_t count, std::size_t idBits,
 
   std::vector<Tag> tags;
   tags.reserve(count);
-  std::unordered_set<std::uint64_t> seen;
-  seen.reserve(count * 2);
+  // The seen-set: open addressing with linear probing over a power-of-two
+  // table at most half full. 0 marks an empty cell, which is safe because
+  // IDs are non-zero (idle air is the all-zero signal).
+  const std::size_t cells = std::bit_ceil(std::max<std::size_t>(2 * count, 2));
+  const int hashShift = 64 - std::countr_zero(cells);
+  std::vector<std::uint64_t> seen(cells, 0);
   while (tags.size() < count) {
     const std::uint64_t value =
         idBits == 64 ? rng() : rng.bits(static_cast<unsigned>(idBits));
-    if (value == 0 || !seen.insert(value).second) {
-      continue;  // IDs are non-zero (idle air is the all-zero signal) and unique
+    if (value == 0) continue;
+    // Fibonacci hashing: the top bits of value·2^64/φ pick the first cell.
+    std::size_t cell =
+        static_cast<std::size_t>((value * 0x9e3779b97f4a7c15ull) >> hashShift);
+    while (seen[cell] != 0 && seen[cell] != value) {
+      cell = (cell + 1) & (cells - 1);
     }
-    Tag t;
+    if (seen[cell] == value) continue;  // IDs are unique
+    seen[cell] = value;
+    Tag& t = tags.emplace_back();
     t.idValue = value;
-    t.id = common::BitVec::fromUint(value, idBits);
-    tags.push_back(std::move(t));
+    t.id.assignUint(value, idBits);
   }
   return tags;
 }

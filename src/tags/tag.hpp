@@ -8,6 +8,10 @@
 // that heard an ACK stops responding even if the ACK was the result of a
 // misdetected collision (the phantom-ID failure mode QCD trades for its
 // speed; see core/detection_scheme.hpp).
+//
+// A Tag is 64 bytes, one cache line. Its ID (at most 64 bits) lives in the
+// BitVec's inline words, so building a population allocates nothing per
+// tag.
 #pragma once
 
 #include <cstdint>

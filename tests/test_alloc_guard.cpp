@@ -13,7 +13,9 @@
 // and on four pool threads — and the tree family's split walks (BT, ABS,
 // QT, AQS), and assert the process-wide violation count stays zero: every
 // ALLOC_GUARD_HOT() region in the real slot path is allocation-free beyond
-// its sanctioned high-water growth.
+// its sanctioned high-water growth. One more counts every allocation of a
+// whole runExperiment census, population build included, and asserts the
+// count does not grow with the population.
 //
 // Everything is gated on AllocGuard::enforced(): in default builds the
 // operator new/delete hooks are not linked and the counters never move,
@@ -33,6 +35,7 @@
 #include "anticollision/aqs.hpp"
 #include "anticollision/bt.hpp"
 #include "anticollision/dfsa.hpp"
+#include "anticollision/experiment.hpp"
 #include "anticollision/protocol.hpp"
 #include "anticollision/qadaptive.hpp"
 #include "anticollision/qt.hpp"
@@ -328,6 +331,65 @@ TEST_F(AllocGuardCensus, FourPoolThreadsStayGuardClean) {
   }
   for (auto& fut : done) {
     fut.get();
+  }
+}
+
+/// Heap allocations of one whole census — population, scheme, channel,
+/// protocol, engine, snapshot, metrics and the aggregate — over `tagCount`
+/// tags, on this thread, after a warm-up census of the same configuration.
+std::uint64_t censusAllocations(rfid::anticollision::ExperimentConfig config,
+                                std::size_t tagCount) {
+  config.tagCount = tagCount;
+  config.frameSize = tagCount * 3 / 5;
+  config.rounds = 1;
+  config.threads = 1;
+  (void)rfid::anticollision::runExperiment(config);
+  const std::uint64_t before = AllocGuard::processAllocations();
+  const auto result = rfid::anticollision::runExperiment(config);
+  const std::uint64_t after = AllocGuard::processAllocations();
+  EXPECT_EQ(result.completedRounds, 1u) << tagCount << " tags";
+  return after - before;
+}
+
+TEST_F(AllocGuardCensus, WholeCensusAllocationsStayFlat) {
+  // No allocation per tag: under 100 for a 500-tag census, and at most 32
+  // more for 5 000 tags. ABS and AQS are out of scope: their cross-round
+  // state (ABS's reservations, AQS's idle prefixes) still allocates per tag.
+  using rfid::anticollision::ExperimentConfig;
+  using rfid::anticollision::ProtocolKind;
+  using rfid::anticollision::SchemeKind;
+  const auto config = [](ProtocolKind protocol, SchemeKind scheme) {
+    ExperimentConfig c;
+    c.protocol = protocol;
+    c.scheme = scheme;
+    c.qcdStrength = 8;
+    c.seed = 29;
+    return c;
+  };
+  ExperimentConfig bsc = config(ProtocolKind::kDfsaSchoute, SchemeKind::kQcd);
+  bsc.impairment.model = rfid::phy::ImpairmentModel::kBsc;
+  bsc.impairment.tagToReaderBer = 1e-3;
+  bsc.impairment.detectionBer = 1e-3;
+  bsc.recovery.ackVerify = true;
+  bsc.recoveryMaxPasses = 2;
+  const struct {
+    const char* name;
+    ExperimentConfig config;
+  } cases[] = {
+      {"FSA QCD-8", config(ProtocolKind::kFsa, SchemeKind::kQcd)},
+      {"DFSA/Schoute CRC-CD",
+       config(ProtocolKind::kDfsaSchoute, SchemeKind::kCrcCd)},
+      {"Q-adaptive QCD-8", config(ProtocolKind::kQAdaptive, SchemeKind::kQcd)},
+      {"BT CRC-CD", config(ProtocolKind::kBt, SchemeKind::kCrcCd)},
+      {"QT CRC-CD", config(ProtocolKind::kQt, SchemeKind::kCrcCd)},
+      {"DFSA/Schoute QCD-8, BSC 1e-3, ACK-verify, 2 recovery passes", bsc},
+  };
+  for (const auto& c : cases) {
+    const std::uint64_t small = censusAllocations(c.config, 500);
+    const std::uint64_t large = censusAllocations(c.config, 5000);
+    EXPECT_LT(small, 100u) << c.name;
+    EXPECT_LE(large, small + 32) << c.name << ": " << small << " allocations"
+                                 << " at 500 tags, " << large << " at 5000";
   }
 }
 

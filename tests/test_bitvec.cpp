@@ -4,7 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <functional>
+#include <string>
 #include <unordered_set>
+#include <utility>
+#include <vector>
 
 #include "common/require.hpp"
 #include "common/rng.hpp"
@@ -14,6 +20,9 @@ namespace {
 using rfid::common::BitVec;
 using rfid::common::PreconditionError;
 using rfid::common::Rng;
+
+// Two inline words beside the size and the capacity: a Tag holds one.
+static_assert(sizeof(BitVec) == 32);
 
 TEST(BitVec, DefaultIsEmpty) {
   BitVec v;
@@ -359,6 +368,217 @@ TEST(BitVec, SliceIntoMatchesSlice) {
   EXPECT_THROW(v.sliceInto(100, 51, scratch), PreconditionError);
   BitVec aliased = v;
   EXPECT_THROW(aliased.sliceInto(0, 10, aliased), PreconditionError);
+}
+
+// --- storage: two words inline, longer vectors on the heap ----------------
+
+/// A bit-by-bit model of a vector: bit i is model[i].
+using Model = std::vector<bool>;
+
+Model modelOf(const BitVec& v) {
+  Model m(v.size());
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    m[i] = v.test(i);
+  }
+  return m;
+}
+
+void appendToModel(Model& m, std::uint64_t value, std::size_t nbits) {
+  for (std::size_t i = 0; i < nbits; ++i) {
+    m.push_back(((value >> i) & 1u) != 0);
+  }
+}
+
+/// Checks `v` bit by bit against `m`, and that its padding is canonical:
+/// it equals (and hashes like) a vector built one set() at a time.
+void expectMatches(const BitVec& v, const Model& m, const std::string& what) {
+  ASSERT_EQ(v.size(), m.size()) << what;
+  EXPECT_EQ(modelOf(v), m) << what;
+  BitVec rebuilt(m.size());
+  for (std::size_t i = 0; i < m.size(); ++i) {
+    rebuilt.set(i, m[i]);
+  }
+  EXPECT_EQ(v, rebuilt) << what;
+  EXPECT_EQ(v.hash(), rebuilt.hash()) << what;
+  EXPECT_EQ(v.popcount(),
+            static_cast<std::size_t>(std::count(m.begin(), m.end(), true)))
+      << what;
+}
+
+/// True when the words live inside the object (no heap buffer).
+bool storedInline(const BitVec& v) {
+  const auto* self = reinterpret_cast<const unsigned char*>(&v);
+  const auto* words = reinterpret_cast<const unsigned char*>(v.data());
+  return std::greater_equal<const unsigned char*>{}(words, self) &&
+         std::less<const unsigned char*>{}(words, self + sizeof(BitVec));
+}
+
+TEST(BitVec, GrowsFromInlineToHeapKeepingWords) {
+  Rng rng(207);
+  {
+    BitVec v = rng.bitvec(128);
+    ASSERT_TRUE(storedInline(v));
+    Model m = modelOf(v);
+    v.appendUint(1, 1);
+    appendToModel(m, 1, 1);
+    expectMatches(v, m, "appendUint 128+1");
+    EXPECT_FALSE(storedInline(v));
+    for (const std::size_t n : {63u, 64u, 7u, 64u, 64u}) {
+      const std::uint64_t value = rng.bits(static_cast<unsigned>(n));
+      v.appendUint(value, n);
+      appendToModel(m, value, n);
+      expectMatches(v, m, "appendUint +" + std::to_string(n));
+    }
+  }
+  for (const std::size_t na : {100u, 127u, 128u}) {
+    for (const std::size_t nb : {1u, 29u, 64u, 130u}) {
+      BitVec a = rng.bitvec(na);
+      const BitVec b = rng.bitvec(nb);
+      Model m = modelOf(a);
+      const Model tail = modelOf(b);
+      m.insert(m.end(), tail.begin(), tail.end());
+      a.concatInto(b);
+      expectMatches(a, m, "concatInto " + std::to_string(na) + "+" +
+                              std::to_string(nb));
+    }
+  }
+  for (const std::size_t from : {0u, 1u, 64u, 127u, 128u}) {
+    for (const std::size_t to : {129u, 192u, 300u}) {
+      for (const bool value : {false, true}) {
+        BitVec v = rng.bitvec(from);
+        Model m = modelOf(v);
+        m.resize(to, value);
+        v.resize(to, value);
+        expectMatches(v, m, "resize " + std::to_string(from) + "->" +
+                                std::to_string(to));
+      }
+    }
+  }
+  BitVec v = rng.bitvec(128);
+  for (const std::size_t n : {129u, 200u, 64u, 257u}) {
+    for (const bool value : {false, true}) {
+      v.assignFill(n, value);
+      expectMatches(v, Model(n, value), "assignFill " + std::to_string(n));
+    }
+  }
+}
+
+TEST(BitVec, RegrownWordsComeUpZero) {
+  // A vector of ones, shrunk: its storage (inline or heap) keeps the old
+  // words past the new size, and every regrowth must read them as zero.
+  const auto shrunkOnes = [](std::size_t from, std::size_t to) {
+    BitVec v(from, true);
+    v.resize(to);
+    return v;
+  };
+  for (const std::size_t from : {128u, 300u}) {
+    for (const std::size_t to : {0u, 1u, 64u, 100u, 128u}) {
+      if (to > from) continue;
+      const std::string what =
+          std::to_string(from) + "->" + std::to_string(to) + " then ";
+      {
+        BitVec v = shrunkOnes(from, to);
+        EXPECT_EQ(storedInline(v), from <= 128) << what << "shrink";
+        expectMatches(v, Model(to, true), what + "shrink");
+        Model m(to, true);
+        for (int k = 0; k < 4; ++k) {
+          v.appendUint(0, 64);
+          appendToModel(m, 0, 64);
+        }
+        v.appendUint(1, 1);
+        appendToModel(m, 1, 1);
+        expectMatches(v, m, what + "appendUint");
+      }
+      {
+        BitVec v = shrunkOnes(from, to);
+        v.concatInto(BitVec(250));
+        Model m(to, true);
+        m.resize(to + 250, false);
+        expectMatches(v, m, what + "concatInto");
+      }
+      {
+        BitVec v = shrunkOnes(from, to);
+        v.resize(to + 200);
+        Model m(to, true);
+        m.resize(to + 200, false);
+        expectMatches(v, m, what + "resize");
+      }
+      {
+        BitVec v = shrunkOnes(from, to);
+        const BitVec zeros(256);
+        v.assignOr(zeros, zeros);
+        expectMatches(v, Model(256, false), what + "assignOr");
+        BitVec w = shrunkOnes(from, to);
+        zeros.sliceInto(0, 256, w);
+        expectMatches(w, Model(256, false), what + "sliceInto");
+      }
+    }
+  }
+}
+
+TEST(BitVec, CopyAndMoveAcrossStorageModes) {
+  Rng rng(208);
+  const BitVec small = rng.bitvec(100);
+  const BitVec large = rng.bitvec(300);
+  // The same 100 bits as `small`, kept in a heap buffer: copying into a
+  // vector with room reuses its storage.
+  BitVec smallOnHeap(400);
+  smallOnHeap = small;
+  ASSERT_TRUE(storedInline(small));
+  ASSERT_FALSE(storedInline(smallOnHeap));
+  ASSERT_FALSE(storedInline(large));
+  EXPECT_EQ(smallOnHeap, small);
+  EXPECT_EQ(smallOnHeap.hash(), small.hash());
+  EXPECT_EQ(std::hash<BitVec>{}(smallOnHeap), std::hash<BitVec>{}(small));
+
+  const BitVec* const sources[] = {&small, &smallOnHeap, &large};
+  for (const BitVec* source : sources) {
+    const std::string what = std::to_string(source->size()) + " bits, " +
+                             (storedInline(*source) ? "inline" : "heap");
+    const BitVec copied(*source);
+    EXPECT_EQ(copied, *source) << what;
+    EXPECT_EQ(copied.hash(), source->hash()) << what;
+    {
+      BitVec from = *source;
+      const bool fromHeap = !storedInline(from);
+      const std::uint64_t* buffer = from.data();
+      const BitVec moved(std::move(from));
+      EXPECT_EQ(moved, *source) << what;
+      if (fromHeap) {
+        EXPECT_EQ(moved.data(), buffer) << what << ": the buffer is stolen";
+      }
+      // NOLINTNEXTLINE(bugprone-use-after-move): moved-from state under test
+      EXPECT_TRUE(from.empty()) << what;
+      EXPECT_EQ(from.words(), 0u) << what;
+      EXPECT_EQ(from, BitVec{}) << what;
+      from.appendUint(5, 3);  // a moved-from vector is reusable
+      EXPECT_EQ(from, BitVec::fromUint(5, 3)) << what;
+    }
+    // Both destination storage modes: inline (64 bits) and heap (400).
+    for (const std::size_t destBits : {64u, 400u}) {
+      const std::string into = what + " into " + std::to_string(destBits);
+      BitVec copyDest = rng.bitvec(destBits);
+      copyDest = *source;
+      EXPECT_EQ(copyDest, *source) << into;
+      EXPECT_EQ(copyDest.hash(), source->hash()) << into;
+
+      BitVec from = *source;
+      BitVec moveDest = rng.bitvec(destBits);
+      moveDest = std::move(from);
+      EXPECT_EQ(moveDest, *source) << into;
+      EXPECT_EQ(moveDest.hash(), source->hash()) << into;
+      // NOLINTNEXTLINE(bugprone-use-after-move): moved-from state under test
+      EXPECT_TRUE(from.empty()) << into;
+      EXPECT_EQ(from, BitVec{}) << into;
+    }
+    // Self-copy and self-move leave the value alone.
+    BitVec self = *source;
+    BitVec& alias = self;
+    self = alias;
+    EXPECT_EQ(self, *source) << what << ": self-copy";
+    self = std::move(alias);
+    EXPECT_EQ(self, *source) << what << ": self-move";
+  }
 }
 
 }  // namespace

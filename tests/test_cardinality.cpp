@@ -9,6 +9,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "common/require.hpp"
 #include "helpers.hpp"
@@ -102,6 +103,51 @@ TEST(Cardinality, IsReadOnly) {
   cfg.probeFrames = 4;
   (void)estimateCardinality(*h.scheme, channel, h.tags, cfg, h.rng);
   EXPECT_EQ(h.believed(), 0u);  // probing silences nobody
+}
+
+TEST(Cardinality, ProbeLeavesTagsAsFound) {
+  // A probe sends no ACK: every field of every tag (the ID, its integer
+  // view, both identification flags, the identification time and the
+  // blocker flag) reads afterwards as it did before.
+  for (const bool crc : {false, true}) {
+    for (const double capture : {0.0, 0.5}) {
+      const rfid::phy::AirInterface air;
+      std::unique_ptr<rfid::core::DetectionScheme> scheme;
+      if (crc) {
+        scheme = std::make_unique<rfid::core::CrcCdScheme>(air);
+      } else {
+        scheme = std::make_unique<rfid::core::QcdScheme>(air, 8);
+      }
+      std::unique_ptr<rfid::phy::Channel> channel;
+      if (capture > 0.0) {
+        channel = std::make_unique<rfid::phy::CaptureChannel>(capture);
+      } else {
+        channel = std::make_unique<rfid::phy::OrChannel>();
+      }
+      Harness h(200, 43, std::move(scheme));
+      const std::vector<rfid::tags::Tag> before = h.tags;
+      CardinalityConfig cfg;
+      cfg.frameSize = 128;
+      cfg.probeFrames = 4;
+      const auto est =
+          estimateCardinality(*h.scheme, *channel, h.tags, cfg, h.rng);
+      ASSERT_GT(est.probeSlots, 0u);
+      std::size_t changed = 0;
+      for (std::size_t i = 0; i < before.size(); ++i) {
+        const rfid::tags::Tag& a = before[i];
+        const rfid::tags::Tag& b = h.tags[i];
+        if (b.id != a.id || b.idValue != a.idValue ||
+            b.believesIdentified != a.believesIdentified ||
+            b.correctlyIdentified != a.correctlyIdentified ||
+            b.identifiedAtMicros != a.identifiedAtMicros ||
+            b.blocker != a.blocker) {
+          ++changed;
+        }
+      }
+      EXPECT_EQ(changed, 0u) << (crc ? "CRC-CD" : "QCD-8") << ", capture "
+                             << capture << ": tags the probe changed";
+    }
+  }
 }
 
 TEST(Cardinality, BlockerJamsEveryProbeSlot) {

@@ -3,7 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <cstdint>
 #include <unordered_set>
+#include <vector>
 
 #include "common/require.hpp"
 #include "common/rng.hpp"
@@ -17,6 +20,16 @@ using rfid::tags::countCorrectlyIdentified;
 using rfid::tags::makeBlockerTag;
 using rfid::tags::makeUniformPopulation;
 using rfid::tags::Tag;
+
+// A Tag is one 64-byte cache line: the ID's BitVec, then its integer view,
+// the two identification flags, the identification time and the blocker.
+static_assert(sizeof(Tag) == 64);
+static_assert(offsetof(Tag, id) == 0);
+static_assert(offsetof(Tag, idValue) == 32);
+static_assert(offsetof(Tag, believesIdentified) == 40);
+static_assert(offsetof(Tag, correctlyIdentified) == 41);
+static_assert(offsetof(Tag, identifiedAtMicros) == 48);
+static_assert(offsetof(Tag, blocker) == 56);
 
 TEST(Population, IdsAreUniqueNonZeroAndSized) {
   Rng rng(71);
@@ -80,6 +93,55 @@ TEST(Population, BlockerIsAllOnes) {
   EXPECT_TRUE(blocker.blocker);
   EXPECT_TRUE(blocker.id.all());
   EXPECT_EQ(blocker.id.size(), 64u);
+}
+
+/// The population builder's former seen-set: the same draws, accepted or
+/// rejected by a std::unordered_set.
+std::vector<std::uint64_t> unorderedSetReference(std::size_t count,
+                                                 std::size_t idBits,
+                                                 Rng& rng) {
+  std::vector<std::uint64_t> ids;
+  std::unordered_set<std::uint64_t> seen;
+  seen.reserve(count * 2);
+  while (ids.size() < count) {
+    const std::uint64_t value =
+        idBits == 64 ? rng() : rng.bits(static_cast<unsigned>(idBits));
+    if (value == 0 || !seen.insert(value).second) continue;
+    ids.push_back(value);
+  }
+  return ids;
+}
+
+TEST(Population, MatchesUnorderedSetReference) {
+  // The dense cases (every non-zero 4-bit ID; 4 000 of 4 095 12-bit IDs)
+  // reject many duplicate draws.
+  const struct {
+    std::size_t count;
+    std::size_t idBits;
+  } cases[] = {{15, 4}, {4000, 12}, {5000, 64}, {50000, 64}};
+  for (const auto& c : cases) {
+    for (const std::uint64_t seed : {1u, 2u, 3u}) {
+      Rng built(seed);
+      Rng reference(seed);
+      const std::vector<Tag> tags =
+          makeUniformPopulation(c.count, c.idBits, built);
+      const std::vector<std::uint64_t> ids =
+          unorderedSetReference(c.count, c.idBits, reference);
+      ASSERT_EQ(tags.size(), ids.size());
+      std::size_t mismatches = 0;
+      for (std::size_t i = 0; i < tags.size(); ++i) {
+        if (tags[i].idValue != ids[i] ||
+            tags[i].id != rfid::common::BitVec::fromUint(ids[i], c.idBits)) {
+          ++mismatches;
+        }
+      }
+      EXPECT_EQ(mismatches, 0u) << c.count << " tags of " << c.idBits
+                                << " bits, seed " << seed;
+      EXPECT_EQ(built(), reference())
+          << c.count << " tags of " << c.idBits << " bits, seed " << seed
+          << ": the builders consumed different draws";
+    }
+  }
 }
 
 TEST(Population, IdentificationCounters) {
