@@ -40,8 +40,11 @@
 # that reach the BitVec and population paths they skip: the impairment
 # passes (ablation_channel_noise), the CRC-preamble scheme
 # (ablation_preamble_checksum), vectors longer than 128 bits
-# (ablation_privacy) and short IDs with dense dedup (ablation_id_length).
-# Exits nonzero when any output differs.
+# (ablation_privacy) and short IDs with dense dedup (ablation_id_length);
+# and three that print what the slot commit's identification pass writes:
+# identification times and delay statistics (fig06_delay) and phantom
+# ACKs (ablation_misdetection, fig05_accuracy). Exits nonzero when any
+# output differs.
 #
 # `sh scripts/ci.sh lint [--diff BASE]` runs the static-analysis gate
 # (clang-tidy with the checked-in .clang-tidy,
@@ -72,7 +75,7 @@ if [ "$mode" = "identity" ]; then
       ablation_mobile_tags ablation_tree_family lemma2_bt_slots \
       table08_bt_census table03_ei_bt ablation_capture \
       ablation_channel_noise ablation_preamble_checksum ablation_privacy \
-      ablation_id_length
+      ablation_id_length fig06_delay ablation_misdetection fig05_accuracy
   fi
   jobs="$(nproc 2>/dev/null || echo 4)"
   identdir=$(mktemp -d)

@@ -21,20 +21,16 @@ std::string toString(EstimatorKind kind) {
 }
 
 FrameCensus tallyFrame(std::span<const phy::SlotType> verdicts) {
+  // Sums of comparisons, with no branch on the verdicts.
   FrameCensus census;
   census.frameSize = verdicts.size();
   for (const phy::SlotType verdict : verdicts) {
-    switch (verdict) {
-      case phy::SlotType::kIdle:
-        ++census.idle;
-        break;
-      case phy::SlotType::kSingle:
-        ++census.single;
-        break;
-      case phy::SlotType::kCollided:
-        ++census.collided;
-        break;
-    }
+    census.idle +=
+        static_cast<std::uint64_t>(verdict == phy::SlotType::kIdle);
+    census.single +=
+        static_cast<std::uint64_t>(verdict == phy::SlotType::kSingle);
+    census.collided +=
+        static_cast<std::uint64_t>(verdict == phy::SlotType::kCollided);
   }
   return census;
 }

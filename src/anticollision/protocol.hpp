@@ -255,11 +255,12 @@ inline void Protocol::blockerIndicesInto(std::span<const tags::Tag> tags,
 
 inline void Protocol::filterStillActive(std::span<const tags::Tag> tags,
                                         std::vector<std::size_t>& active) {
+  // Branch-free compaction: every index is written at the cursor, which
+  // advances past the ones still contending.
   std::size_t kept = 0;
   for (const std::size_t idx : active) {
-    if (!tags[idx].believesIdentified) {
-      active[kept++] = idx;
-    }
+    active[kept] = idx;
+    kept += static_cast<std::size_t>(!tags[idx].believesIdentified);
   }
   active.resize(kept);
 }

@@ -1,14 +1,14 @@
-// Runtime SIMD dispatch for the batch slot kernels.
+// Runtime SIMD dispatch for the batch slot kernel.
 //
-// The batch kernels (core::QcdPreamble::inspectPacked, the segmented-OR
-// superposition in sim/engine_batch.cpp) each ship two implementations: a
-// portable uint64_t word-level fallback and an AVX2 specialization compiled
-// with a per-function target attribute. Dispatch is decided once per
-// process: the AVX2 path runs only when it was compiled in, the CPU
-// advertises AVX2, and RFID_SIMD does not force the portable kernels.
-// Both implementations are bit-identical by construction (pure integer
-// OR/compare — no floating point), which tests/test_batch_kernel.cpp
-// checks by running the same batch under both modes.
+// QCD's packed inspect (core::QcdPreamble::inspectPacked) ships two
+// implementations: a portable uint64_t word-level fallback and an AVX2
+// specialization compiled with a per-function target attribute. Dispatch
+// is decided once per process: the AVX2 path runs only when it was
+// compiled in, the CPU advertises AVX2, and RFID_SIMD does not force the
+// portable kernel. Both implementations are bit-identical by construction
+// (pure integer compare — no floating point), which
+// tests/test_batch_kernel.cpp checks by running the same batch under both
+// modes.
 #pragma once
 
 namespace rfid::common::simd {

@@ -70,9 +70,11 @@ SlotType SlotEngine::runSlot(std::span<tags::Tag> tags,
       signal = &rxScratch_.signal;
     }
   }
-  const SlotType detected = scheme_.classify(*signal, responders.size());
-  return commitSlot(tags, responders, detected, rxScratch_.capturedIndex,
-                    rxScratch_.corrupted);
+  SlotType verdict = scheme_.classify(*signal, responders.size());
+  const std::uint32_t offsets[2] = {
+      0, static_cast<std::uint32_t>(responders.size())};
+  commitSlots(tags, responders, offsets, {&verdict, 1}, &rxScratch_);
+  return verdict;
 }
 
 }  // namespace rfid::sim

@@ -8,7 +8,8 @@
 //
 // The scalar runSlot and the packed batch kernel differ only in how they
 // encode, superpose and classify: both end in the one private commit,
-// commitSlot (sim/engine_commit.hpp).
+// commitSlots (sim/engine_commit.hpp), runSlot with its one slot and the
+// kernel with the whole batch.
 //
 // Hot-path contract: the engine owns all per-slot scratch (the transmission
 // buffers and the Reception it hands to the channel) and drives only the
@@ -92,8 +93,8 @@ class SlotEngine {
   /// tests in tests/test_batch_kernel.cpp enforce this). When the scheme
   /// supports the packed API (packedKind() != kNone) and the channel is a
   /// pure OR (isPureOr()), whole slots are encoded, superposed, and
-  /// classified at 64-bit-word granularity over `soa`'s arrays — with AVX2
-  /// specializations where available — instead of driving the virtual
+  /// classified at 64-bit-word granularity over `soa`'s arrays, and the
+  /// whole batch is committed in one call, instead of driving the virtual
   /// per-responder BitVec path; otherwise the batch transparently falls
   /// back to slot-exact runSlot calls. `soa` must be a gather() of `tags`
   /// under this engine's scheme. `detectedOut`, when non-empty, must hold
@@ -121,19 +122,41 @@ class SlotEngine {
   }
 
  private:
-  /// Everything after classification, for runSlot and the packed kernel
-  /// alike: per-type airtime, the ACK-verify exchange, identification or
-  /// misread, the phantom ACK of a misdetected collision, the observer
-  /// event and the slot-index advance. `capturedIndex` indexes `responders`
-  /// (the one reply the reader demodulated cleanly, if any); `corrupted`
-  /// says the channel flipped bits of it in flight. Returns the effective
-  /// slot type (runSlot's return value). Defined in sim/engine_commit.hpp.
+  /// Everything after classification, for runSlot's one slot and the
+  /// packed kernel's whole batch alike: per-type airtime, the ACK-verify
+  /// exchange, identification or misread, the phantom ACK of a misdetected
+  /// collision, the observer events and the slot-index advance. Slot s's
+  /// responders are responders[offsets[s] .. offsets[s+1]). verdicts[s]
+  /// holds the type the reader detected and receives the slot's effective
+  /// type (runSlot's return value). `reception` is runSlot's channel
+  /// outcome for its one slot: the reply the reader demodulated cleanly, if
+  /// any, and whether the channel flipped bits of it. The kernel passes
+  /// nullptr for the pure-OR facts: a row's lone responder is captured, and
+  /// nothing is corrupted. Defined in sim/engine_commit.hpp.
   template <typename Index>
-  phy::SlotType commitSlot(std::span<tags::Tag> tags,
-                           std::span<const Index> responders,
-                           phy::SlotType detected,
-                           std::optional<std::size_t> capturedIndex,
-                           bool corrupted);
+  void commitSlots(std::span<tags::Tag> tags,
+                   std::span<const Index> responders,
+                   const std::uint32_t* offsets,
+                   std::span<phy::SlotType> verdicts,
+                   const phy::Reception* reception);
+  /// The commit's pass 1 over one chunk of `slots` slots: adds each slot to
+  /// `counts` and its airtime to `airtime` and `now`, and writes every slot
+  /// read as single, with the clock after it, to the next entry of
+  /// singles_. Returns the number of singles. Defined in
+  /// sim/engine_commit.hpp.
+  template <bool kAckVerify>
+  std::size_t tallySlots(const std::uint32_t* offsets,
+                         const phy::SlotType* detected, std::size_t slots,
+                         Metrics::Confusion& counts, double& airtime,
+                         double& now) noexcept;
+  /// The identification handshake of one slot read as single, whose
+  /// responders are `row` and whose airtime ended at `clock`: the verify
+  /// outcome, the identification or misread, or the phantom ACK. Returns
+  /// the slot's effective type. Defined in sim/engine_commit.hpp.
+  template <typename Index>
+  phy::SlotType identifySingle(std::span<tags::Tag> tags,
+                               std::span<const Index> row,
+                               const phy::Reception* reception, double clock);
   void runSlotsBatchPacked(std::span<tags::Tag> tags, const TagSoA& soa,
                            const SlotBatch& batch, common::Rng& rng,
                            std::span<phy::SlotType> detectedOut) noexcept;
@@ -157,9 +180,21 @@ class SlotEngine {
   std::vector<common::BitVec> txScratch_;
   /// Channel output scratch; its signal BitVec is likewise reused.
   phy::Reception rxScratch_;
-  /// Batch-kernel scratch (engine_batch.cpp): packed transmissions,
-  /// per-slot OR accumulators, verdicts, and the fallback path's responder
-  /// index conversion buffer. All grown at high-water marks only.
+  /// Slots the commit tallies before it identifies (sim/engine_commit.hpp).
+  static constexpr std::size_t kCommitChunk = 2048;
+  /// One chunk's slots read as single, in slot order, each with the clock
+  /// after its airtime. Sized by the chunk's slots, plus the one spare
+  /// entry the branch-free compaction writes past the last; grown at
+  /// high-water marks only, so at most kCommitChunk + 1 entries (32 KiB).
+  struct SingleSlot {
+    double clockMicros;
+    std::uint32_t slot;
+  };
+  std::vector<SingleSlot> singles_;
+  /// Batch-kernel scratch (engine_batch.cpp): packed transmissions (with
+  /// the masked OR's padding rows), per-slot OR accumulators, verdicts, and
+  /// the fallback path's responder index conversion buffer. All grown at
+  /// high-water marks only.
   std::vector<std::uint64_t> batchTxWords_;
   std::vector<std::uint64_t> batchAccWords_;
   std::vector<phy::SlotType> batchVerdicts_;

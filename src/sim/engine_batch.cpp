@@ -13,12 +13,19 @@
 //                 per-slot schemes (QCD) consume the RNG exactly as the
 //                 scalar loop would; kStatic schemes copy the precomputed
 //                 rows from the TagSoA snapshot and blockers get all-ones.
-//   2. superpose — segmented OR per slot (AVX2 when signals fit one word).
+//                 With no blocker in the population, a kPerSlot batch is one
+//                 packedDrawRun call and nothing tests each responder.
+//   2. superpose — one masked segmented OR for every signal width: each row
+//                 ORs its first few responders under masks, with no branch
+//                 on the row length, and loops only past them.
 //   3. classify  — the scheme's batch verdict over all slots at once
 //                  (AVX2 inside QcdPreamble::inspectPacked).
-//   4. commit    — SlotEngine::commitSlot per slot, the same routine runSlot
-//                  ends in. Floating-point airtime is added slot by slot in
-//                  the scalar order, keeping the clock bit-identical.
+//   4. commit    — SlotEngine::commitSlots over the whole batch, the same
+//                  routine runSlot ends in: a branch-free tally of the
+//                  census and the clock, then the identifications of the
+//                  single slots (sim/engine_commit.hpp). Floating-point
+//                  airtime is added slot by slot in the scalar order,
+//                  keeping the clock bit-identical.
 //
 // Anything the packed contract cannot express — impairment or capture
 // channels, schemes without packed support — routes through a fallback that
@@ -28,14 +35,9 @@
 
 #include "common/alloc_guard.hpp"
 #include "common/require.hpp"
-#include "common/simd.hpp"
 #include "sim/engine.hpp"
 #include "sim/engine_commit.hpp"
 #include "sim/tag_soa.hpp"
-
-#if RFID_SIMD_AVX2_COMPILED
-#include <immintrin.h>
-#endif
 
 namespace rfid::sim {
 
@@ -43,65 +45,43 @@ using phy::SlotType;
 
 namespace {
 
-/// Phase 2, portable: acc[s] = OR of the packed rows of slot s's responders.
-void orSegmentsPortable(const std::uint64_t* tx, const std::uint32_t* offsets,
-                        std::size_t slotCount, std::size_t wordsPer,
-                        std::uint64_t* acc) noexcept {
-  ALLOC_GUARD_HOT();
-  if (wordsPer == 1) {
-    for (std::size_t s = 0; s < slotCount; ++s) {
-      std::uint64_t a = 0;
-      for (std::uint32_t k = offsets[s]; k < offsets[s + 1]; ++k) {
-        a |= tx[k];
-      }
-      acc[s] = a;
-    }
-    return;
-  }
-  for (std::size_t s = 0; s < slotCount; ++s) {
-    std::uint64_t* dst = acc + s * wordsPer;
-    for (std::size_t w = 0; w < wordsPer; ++w) {
-      dst[w] = 0;
-    }
-    for (std::uint32_t k = offsets[s]; k < offsets[s + 1]; ++k) {
-      const std::uint64_t* src = tx + k * wordsPer;
-      for (std::size_t w = 0; w < wordsPer; ++w) {
-        dst[w] |= src[w];
-      }
-    }
-  }
+/// Responders every row of a `words`-word signal ORs under a mask (0 is a
+/// width known only at run time, three words or more): enough to cover
+/// nearly every row of a framed census without a loop.
+constexpr std::size_t maskedRows(std::size_t words) noexcept {
+  return words == 1 ? 4 : 3;
 }
 
-#if RFID_SIMD_AVX2_COMPILED
-/// Phase 2, AVX2, single-word signals: wide OR-reduce for crowded slots
-/// (four responders per vector op), scalar tail for the sparse common case.
-__attribute__((target("avx2"))) void orSegmentsAvx2(
-    const std::uint64_t* tx, const std::uint32_t* offsets,
-    std::size_t slotCount, std::uint64_t* acc) noexcept {
+/// Phase 2: acc[s] = the OR of slot s's responder rows, `words` words each
+/// (kWords, when nonzero, fixes the width at compile time). The first
+/// kMasked responders of a row of n are ORed under the masks 0 - (n > k),
+/// so no row branches on its length unless it is longer than kMasked. The
+/// masked reads run up to kMasked rows past the last responder: the
+/// transmission scratch keeps that many padding rows, and the masks drop
+/// whatever they hold.
+template <std::size_t kWords>
+void orSegments(const std::uint64_t* tx, const std::uint32_t* offsets,
+                std::size_t slotCount, std::size_t words,
+                std::uint64_t* acc) noexcept {
   ALLOC_GUARD_HOT();
+  constexpr std::size_t kMasked = maskedRows(kWords);
+  const std::size_t width = kWords != 0 ? kWords : words;
   for (std::size_t s = 0; s < slotCount; ++s) {
-    std::uint32_t k = offsets[s];
-    const std::uint32_t end = offsets[s + 1];
-    std::uint64_t a = 0;
-    if (end - k >= 8) {
-      __m256i v = _mm256_setzero_si256();
-      for (; k + 4 <= end; k += 4) {
-        v = _mm256_or_si256(
-            v, _mm256_loadu_si256(
-                   reinterpret_cast<const __m256i*>(tx + k)));
+    const std::uint32_t n = offsets[s + 1] - offsets[s];
+    const std::uint64_t* row = tx + std::size_t{offsets[s]} * width;
+    std::uint64_t* dst = acc + s * width;
+    for (std::size_t w = 0; w < width; ++w) {
+      std::uint64_t a = 0;
+      for (std::size_t k = 0; k < kMasked; ++k) {
+        a |= row[k * width + w] & (std::uint64_t{0} - std::uint64_t{n > k});
       }
-      const __m128i half = _mm_or_si128(_mm256_castsi256_si128(v),
-                                        _mm256_extracti128_si256(v, 1));
-      a = static_cast<std::uint64_t>(_mm_cvtsi128_si64(half)) |
-          static_cast<std::uint64_t>(_mm_extract_epi64(half, 1));
+      for (std::size_t k = kMasked; k < n; ++k) {
+        a |= row[k * width + w];
+      }
+      dst[w] = a;
     }
-    for (; k < end; ++k) {
-      a |= tx[k];
-    }
-    acc[s] = a;
   }
 }
-#endif  // RFID_SIMD_AVX2_COMPILED
 
 }  // namespace
 
@@ -155,15 +135,16 @@ void SlotEngine::runSlotsBatchPacked(std::span<tags::Tag> tags,
   RFID_ASSERT(!staticSignals ||
               (soa.hasStaticSignals() && soa.signalWords() == wordsPer));
 
-  if (batchTxWords_.size() < nResp * wordsPer) {
+  const std::size_t txWords = (nResp + maskedRows(wordsPer)) * wordsPer;
+  if (batchTxWords_.size() < txWords) {
     ALLOC_GUARD_ALLOW("high-water-mark growth; steady state reuses storage");
-    batchTxWords_.resize(nResp * wordsPer);
+    batchTxWords_.resize(txWords);
   }
   if (batchAccWords_.size() < slots * wordsPer) {
     ALLOC_GUARD_ALLOW("high-water-mark growth; steady state reuses storage");
     batchAccWords_.resize(slots * wordsPer);
   }
-  if (batchVerdicts_.size() < slots) {
+  if (detectedOut.empty() && batchVerdicts_.size() < slots) {
     ALLOC_GUARD_ALLOW("high-water-mark growth; steady state reuses storage");
     batchVerdicts_.resize(slots);
   }
@@ -177,22 +158,31 @@ void SlotEngine::runSlotsBatchPacked(std::span<tags::Tag> tags,
   // scheme draws from `rng` in exactly the scalar sequence (blockers and
   // kStatic signals consume nothing, same as contentionSignalInto).
   std::uint64_t* tx = batchTxWords_.data();
+  const bool anyBlocker = soa.anyBlocker();
+  const auto jam = [wordsPer, lastMask](std::uint64_t* dst) {
+    // The all-ones jamming signal (assignFill in the scalar path).
+    for (std::size_t w = 0; w < wordsPer; ++w) {
+      dst[w] = w + 1 == wordsPer ? lastMask : ~std::uint64_t{0};
+    }
+  };
   if (staticSignals) {
     for (std::size_t k = 0; k < nResp; ++k) {
       const std::uint32_t idx = batch.responders[k];
       RFID_ASSERT(idx < tags.size());
       std::uint64_t* dst = tx + k * wordsPer;
-      if (soa.blocker(idx)) {
-        // The all-ones jamming signal (assignFill in the scalar path).
-        for (std::size_t w = 0; w < wordsPer; ++w) {
-          dst[w] = w + 1 == wordsPer ? lastMask : ~std::uint64_t{0};
-        }
+      if (anyBlocker && soa.blocker(idx)) {
+        jam(dst);
       } else {
         const std::uint64_t* src = soa.staticSignal(idx);
         for (std::size_t w = 0; w < wordsPer; ++w) {
           dst[w] = src[w];
         }
       }
+    }
+  } else if (!anyBlocker) {
+    // Every responder is honest: the whole batch is one run.
+    if (nResp != 0) {
+      scheme_.packedDrawRun(rng, nResp, tx);
     }
   } else {
     // Per-slot draws: each maximal run of consecutive honest responders is
@@ -203,10 +193,7 @@ void SlotEngine::runSlotsBatchPacked(std::span<tags::Tag> tags,
       const std::uint32_t idx = batch.responders[k];
       RFID_ASSERT(idx < tags.size());
       if (soa.blocker(idx)) {
-        std::uint64_t* dst = tx + k * wordsPer;
-        for (std::size_t w = 0; w < wordsPer; ++w) {
-          dst[w] = w + 1 == wordsPer ? lastMask : ~std::uint64_t{0};
-        }
+        jam(tx + k * wordsPer);
         ++k;
         continue;
       }
@@ -225,35 +212,30 @@ void SlotEngine::runSlotsBatchPacked(std::span<tags::Tag> tags,
   // Phase 2 — superpose.
   std::uint64_t* acc = batchAccWords_.data();
   const std::uint32_t* offsets = batch.offsets.data();
-#if RFID_SIMD_AVX2_COMPILED
-  if (wordsPer == 1 && common::simd::avx2Enabled()) {
-    orSegmentsAvx2(tx, offsets, slots, acc);
-  } else {
-    orSegmentsPortable(tx, offsets, slots, wordsPer, acc);
+  switch (wordsPer) {
+    case 1:
+      orSegments<1>(tx, offsets, slots, wordsPer, acc);
+      break;
+    case 2:
+      orSegments<2>(tx, offsets, slots, wordsPer, acc);
+      break;
+    default:
+      orSegments<0>(tx, offsets, slots, wordsPer, acc);
+      break;
   }
-#else
-  orSegmentsPortable(tx, offsets, slots, wordsPer, acc);
-#endif
 
-  // Phase 3 — classify every slot.
-  scheme_.classifyPacked(acc, offsets, slots, batchVerdicts_.data());
+  // Phase 3 — classify every slot, into the caller's verdicts when it
+  // wants them.
+  const std::span<SlotType> verdicts =
+      detectedOut.empty() ? std::span<SlotType>(batchVerdicts_.data(), slots)
+                          : detectedOut;
+  scheme_.classifyPacked(acc, offsets, slots, verdicts.data());
 
-  // Phase 4 — commit, sequential and in slot order. The airtime clock is
-  // floating point, so the per-slot adds must happen in the scalar order
-  // for the batch to be bit-identical — no bulk accumulate here. A pure-OR
-  // channel captures index 0 iff exactly one tag transmitted and never
-  // corrupts; those are the only facts commitSlot needs from it.
-  for (std::size_t s = 0; s < slots; ++s) {
-    const std::span<const std::uint32_t> responders =
-        batch.responders.subspan(offsets[s], offsets[s + 1] - offsets[s]);
-    const std::optional<std::size_t> captured =
-        responders.size() == 1 ? std::optional<std::size_t>{0} : std::nullopt;
-    const SlotType effective = commitSlot(tags, responders, batchVerdicts_[s],
-                                          captured, /*corrupted=*/false);
-    if (!detectedOut.empty()) {
-      detectedOut[s] = effective;
-    }
-  }
+  // Phase 4 — commit the whole batch; it rewrites a rejected verify's
+  // verdict. A pure-OR channel captures index 0 iff exactly one tag
+  // transmitted and never corrupts; those are the only facts the commit
+  // needs from it (reception nullptr).
+  commitSlots(tags, batch.responders, offsets, verdicts, nullptr);
 }
 
 // rfid:noexcept-allow: drives the scalar runSlot, which owns the throwing

@@ -3,15 +3,16 @@
 namespace rfid::sim {
 
 double Metrics::throughput() const noexcept {
-  const std::uint64_t total = detectedCensus_.total();
+  const SlotCensus detected = detectedCensus();
+  const std::uint64_t total = detected.total();
   return total == 0
              ? 0.0
-             : static_cast<double>(detectedCensus_.single) /
+             : static_cast<double>(detected.single) /
                    static_cast<double>(total);
 }
 
 double Metrics::collisionDetectionAccuracy() const noexcept {
-  const std::uint64_t trueCollided = trueCensus_.collided;
+  const std::uint64_t trueCollided = trueCensus().collided;
   if (trueCollided == 0) return 1.0;
   const std::uint64_t correctlyFlagged =
       confusion_[static_cast<std::size_t>(phy::SlotType::kCollided)]
@@ -24,7 +25,7 @@ double Metrics::utilizationRate(double idBits, double tauMicros) const
     noexcept {
   if (airtimeMicros_ <= 0.0) return 0.0;
   const double usefulMicros =
-      static_cast<double>(detectedCensus_.single) * idBits * tauMicros;
+      static_cast<double>(detectedCensus().single) * idBits * tauMicros;
   return usefulMicros / airtimeMicros_;
 }
 

@@ -42,22 +42,41 @@ struct SlotCensus {
 
 class Metrics {
  public:
+  /// Slot counts indexed [true type][detected type] by SlotType's
+  /// underlying value.
+  using Confusion = std::array<std::array<std::uint64_t, 3>, 3>;
+
   // --- clock -------------------------------------------------------------
   double nowMicros() const noexcept { return nowMicros_; }
   void advanceMicros(double dt) noexcept { nowMicros_ += dt; }
 
   // --- recording (called by the slot engine / protocols) ------------------
-  // recordSlot and recordIdentification are defined inline: they run once
-  // per slot in both the scalar and batched hot paths, where an out-of-line
-  // call is measurable against the slots/sec acceptance bars.
+  // The recorders are defined inline: the slot engine's commit calls them
+  // on every batch and every identification. recordSlot records one slot
+  // on its own; the commit records its slots in bulk with recordSlots.
   void recordSlot(phy::SlotType trueType, phy::SlotType detectedType,
                   double airtimeMicros) noexcept {
-    trueCensus_.bump(trueType);
-    detectedCensus_.bump(detectedType);
     ++confusion_[static_cast<std::size_t>(trueType)]
                 [static_cast<std::size_t>(detectedType)];
     airtimeMicros_ += airtimeMicros;
     nowMicros_ += airtimeMicros;
+  }
+  /// Bulk form of recordSlot for a run of slots committed in one pass:
+  /// adds `slots` to the confusion matrix, counts `verifies` ACK-verify
+  /// exchanges, and stores the airtime and the clock that the run reached.
+  /// The caller starts both sums from totalAirtimeMicros() and nowMicros()
+  /// and adds each slot's airtime (and its verify airtime) in slot order, so
+  /// the floating-point values equal those of per-slot recording.
+  void recordSlots(const Confusion& slots, std::uint64_t verifies,
+                   double airtimeMicros, double nowMicros) noexcept {
+    for (std::size_t t = 0; t < 3; ++t) {
+      for (std::size_t d = 0; d < 3; ++d) {
+        confusion_[t][d] += slots[t][d];
+      }
+    }
+    verifies_ += verifies;
+    airtimeMicros_ = airtimeMicros;
+    nowMicros_ = nowMicros;
   }
   void recordFrame() noexcept { ++frames_; }
   /// A tag fell silent at `atMicros`; `correct` is false when it was
@@ -76,12 +95,6 @@ class Metrics {
   void recordPhantom(std::uint64_t tagsLost) noexcept {
     ++phantoms_;
     lostTags_ += tagsLost;
-  }
-  /// Airtime spent on an ACK-verify exchange (recovery policy).
-  void chargeVerify(double airtimeMicros) noexcept {
-    airtimeMicros_ += airtimeMicros;
-    nowMicros_ += airtimeMicros;
-    ++verifies_;
   }
   /// Outcome of an ACK-verify: `accepted` is false when the reader rejected
   /// the read (corrupted/ambiguous) and re-queued the responders.
@@ -106,13 +119,22 @@ class Metrics {
   }
 
   // --- views ---------------------------------------------------------------
-  const SlotCensus& trueCensus() const noexcept { return trueCensus_; }
-  const SlotCensus& detectedCensus() const noexcept { return detectedCensus_; }
-  /// confusion()[true][detected], indexed by SlotType's underlying value.
-  const std::array<std::array<std::uint64_t, 3>, 3>& confusion() const
-      noexcept {
-    return confusion_;
+  /// The ground-truth and the detected slot census: the confusion matrix's
+  /// row and column sums.
+  SlotCensus trueCensus() const noexcept {
+    const auto row = [this](std::size_t t) {
+      return confusion_[t][0] + confusion_[t][1] + confusion_[t][2];
+    };
+    return {row(0), row(1), row(2)};
   }
+  SlotCensus detectedCensus() const noexcept {
+    const auto column = [this](std::size_t d) {
+      return confusion_[0][d] + confusion_[1][d] + confusion_[2][d];
+    };
+    return {column(0), column(1), column(2)};
+  }
+  /// confusion()[true][detected], indexed by SlotType's underlying value.
+  const Confusion& confusion() const noexcept { return confusion_; }
   std::uint64_t frames() const noexcept { return frames_; }
   double totalAirtimeMicros() const noexcept { return airtimeMicros_; }
   std::uint64_t identified() const noexcept { return identified_; }
@@ -138,9 +160,7 @@ class Metrics {
   double utilizationRate(double idBits, double tauMicros) const noexcept;
 
  private:
-  SlotCensus trueCensus_;
-  SlotCensus detectedCensus_;
-  std::array<std::array<std::uint64_t, 3>, 3> confusion_{};
+  Confusion confusion_{};
   std::uint64_t frames_ = 0;
   double airtimeMicros_ = 0.0;
   double nowMicros_ = 0.0;

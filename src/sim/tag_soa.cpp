@@ -6,8 +6,10 @@ void TagSoA::gather(std::span<const tags::Tag> tags,
                     const core::DetectionScheme& scheme) {
   const std::size_t n = tags.size();
   blocker_.resize(n);
+  anyBlocker_ = false;
   for (std::size_t i = 0; i < n; ++i) {
     blocker_[i] = tags[i].blocker ? 1 : 0;
+    anyBlocker_ = anyBlocker_ || tags[i].blocker;
   }
 
   signalWords_ = scheme.contentionWords();

@@ -44,6 +44,9 @@ class TagSoA {
   bool hasStaticSignals() const noexcept { return hasStaticSignals_; }
 
   bool blocker(std::size_t i) const noexcept { return blocker_[i] != 0; }
+  /// True when any gathered tag is a blocker; false lets the kernel skip
+  /// its per-responder blocker test.
+  bool anyBlocker() const noexcept { return anyBlocker_; }
   /// Row of signalWords() packed words; all-zero for blockers.
   const std::uint64_t* staticSignal(std::size_t i) const noexcept {
     return staticSignals_.data() + i * signalWords_;
@@ -52,6 +55,7 @@ class TagSoA {
  private:
   std::size_t signalWords_ = 0;
   bool hasStaticSignals_ = false;
+  bool anyBlocker_ = false;
   std::vector<std::uint64_t> staticSignals_;  ///< size() × signalWords_
   std::vector<std::uint8_t> blocker_;
 };

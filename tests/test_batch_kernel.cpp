@@ -9,11 +9,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -187,23 +192,26 @@ struct DiffConfig {
   std::size_t chunks = 1;  ///< split the batch over this many calls
 };
 
-/// Runs the same schedule through the scalar loop and the batch kernel and
-/// returns whether every observable output matched. Quiet (no gtest
-/// assertions) so it can run off the main thread.
-bool batchMatchesScalar(const SchemeFactory& makeScheme,
-                        const ChannelFactory& makeChannel, std::uint64_t seed,
-                        const DiffConfig& cfg = {}) {
-  const Schedule sched =
-      makeSchedule(cfg.tagCount, cfg.slotCount, seed ^ 0x5bd1e995ull);
-
+/// Runs `sched` through the scalar loop and the batch kernel and returns
+/// whether every observable output matched: the verdicts, the metrics, the
+/// tags, the next draw and, when `observe` attaches a RecordingObserver to
+/// both engines, every slot event. Quiet (no gtest assertions) so it can
+/// run off the main thread.
+bool scheduleMatchesScalar(const SchemeFactory& makeScheme,
+                           const ChannelFactory& makeChannel,
+                           std::uint64_t seed, const Schedule& sched,
+                           const DiffConfig& cfg, bool observe) {
+  const std::size_t slotCount = sched.slots.size();
   Rig scalar(makeScheme, makeChannel, cfg.tagCount, seed, cfg.blockerCount,
              cfg.ackVerify);
   Rig batch(makeScheme, makeChannel, cfg.tagCount, seed, cfg.blockerCount,
             cfg.ackVerify);
   RecordingObserver scalarObs;
   RecordingObserver batchObs;
-  scalar.engine.setObserver(&scalarObs);
-  batch.engine.setObserver(&batchObs);
+  if (observe) {
+    scalar.engine.setObserver(&scalarObs);
+    batch.engine.setObserver(&batchObs);
+  }
 
   std::vector<SlotType> scalarTypes;
   for (const auto& slot : sched.slots) {
@@ -212,10 +220,10 @@ bool batchMatchesScalar(const SchemeFactory& makeScheme,
 
   TagSoA soa;
   soa.gather(batch.tags, *batch.scheme);
-  std::vector<SlotType> batchTypes(cfg.slotCount);
-  const std::size_t per = (cfg.slotCount + cfg.chunks - 1) / cfg.chunks;
-  for (std::size_t c = 0; c < cfg.slotCount; c += per) {
-    const std::size_t n = std::min(per, cfg.slotCount - c);
+  std::vector<SlotType> batchTypes(slotCount);
+  const std::size_t per = (slotCount + cfg.chunks - 1) / cfg.chunks;
+  for (std::size_t c = 0; c < slotCount; c += per) {
+    const std::size_t n = std::min(per, slotCount - c);
     const std::uint32_t base = sched.offsets[c];
     std::vector<std::uint32_t> offs(sched.offsets.begin() +
                                         static_cast<std::ptrdiff_t>(c),
@@ -233,6 +241,20 @@ bool batchMatchesScalar(const SchemeFactory& makeScheme,
          metricsEqual(scalar.metrics, batch.metrics) &&
          tagsEqual(scalar.tags, batch.tags) &&
          eventsEqual(scalarObs, batchObs) && scalar.rng() == batch.rng();
+}
+
+/// Runs a random schedule through the scalar loop and the batch kernel
+/// twice: with an observer on both engines, and with none (the path every
+/// census without a trace takes).
+bool batchMatchesScalar(const SchemeFactory& makeScheme,
+                        const ChannelFactory& makeChannel, std::uint64_t seed,
+                        const DiffConfig& cfg = {}) {
+  const Schedule sched =
+      makeSchedule(cfg.tagCount, cfg.slotCount, seed ^ 0x5bd1e995ull);
+  return scheduleMatchesScalar(makeScheme, makeChannel, seed, sched, cfg,
+                               /*observe=*/true) &&
+         scheduleMatchesScalar(makeScheme, makeChannel, seed, sched, cfg,
+                               /*observe=*/false);
 }
 
 void expectBatchMatchesScalar(const SchemeFactory& makeScheme,
@@ -257,7 +279,8 @@ TEST(BatchKernel, QcdMatchesScalarAcrossSeeds) {
 }
 
 TEST(BatchKernel, QcdCrowdedSlotsExerciseWideOr) {
-  // ~9 responders per slot on average: the AVX2 OR-reduce main loop runs.
+  // ~9 responders per slot on average: the masked OR's loop past the
+  // masked responders runs.
   expectBatchMatchesScalar(qcd(8), orChannel, 3,
                            {.tagCount = 600, .slotCount = 64});
 }
@@ -312,6 +335,151 @@ TEST(BatchKernel, IdealMatchesScalar) {
   };
   expectBatchMatchesScalar(ideal, orChannel, 31);
   expectBatchMatchesScalar(ideal, orChannel, 33, {.blockerCount = 2});
+}
+
+// --- every row length, every signal width -----------------------------------
+
+/// A test-local kStatic scheme of any width: `words` words, the last one
+/// 22 bits wide, each a different mix of the tag's ID. It is a leaky
+/// detector: a superposition reads as single when its popcount is a
+/// multiple of three. So the verdict of a crowded row depends on every bit
+/// the OR produces (a wrong word flips it about two times in three), and
+/// such rows often read as single and take the phantom ACK. Three words
+/// is wider than any shipped scheme.
+class LeakyStatic final : public DetectionScheme {
+ public:
+  /// `words` is 1, 2 or 3.
+  explicit LeakyStatic(std::size_t words)
+      : DetectionScheme(AirInterface{}), words_(words) {}
+
+  std::string name() const override { return "leaky-static"; }
+  std::size_t contentionBits() const override { return 64 * words_ - 42; }
+  void contentionSignalInto(const Tag& tag, Rng& /*tagRng*/,
+                            BitVec& out) const override {
+    out.assignUint(0, 0);
+    for (std::size_t w = 0; w < words_; ++w) {
+      const std::uint64_t word = mix(tag.idValue + w);
+      if (w + 1 < words_) {
+        out.appendUint(word, 64);
+      } else {
+        out.appendUint(word & kLastMask, 22);
+      }
+    }
+  }
+  SlotType classify(const std::optional<BitVec>& signal,
+                    std::size_t /*trueResponders*/) const override {
+    if (!signal.has_value()) return SlotType::kIdle;
+    std::array<std::uint64_t, 3> words{};
+    for (std::size_t w = 0; w < words_; ++w) words[w] = signal->word(w);
+    return verdict(words.data());
+  }
+  bool idIsInContention() const override { return true; }
+  rfid::phy::SlotTiming timing() const override {
+    return {/*idle=*/7.0, /*single=*/150.0, /*collided=*/96.0};
+  }
+  PackedKind packedKind() const noexcept override {
+    return PackedKind::kStatic;
+  }
+  void classifyPacked(const std::uint64_t* superposed,
+                      const std::uint32_t* slotOffsets, std::size_t count,
+                      SlotType* out) const noexcept override {
+    for (std::size_t i = 0; i < count; ++i) {
+      out[i] = slotOffsets[i + 1] == slotOffsets[i]
+                   ? SlotType::kIdle
+                   : verdict(superposed + i * words_);
+    }
+  }
+
+ private:
+  static constexpr std::uint64_t kLastMask = (std::uint64_t{1} << 22) - 1;
+  static std::uint64_t mix(std::uint64_t x) {
+    x += 0x9e3779b97f4a7c15ull;
+    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+    return x ^ (x >> 31);
+  }
+  SlotType verdict(const std::uint64_t* words) const {
+    int ones = 0;
+    for (std::size_t w = 0; w < words_; ++w) ones += std::popcount(words[w]);
+    if (ones == 0) return SlotType::kIdle;
+    return ones % 3 == 0 ? SlotType::kSingle : SlotType::kCollided;
+  }
+
+  std::size_t words_;
+};
+
+/// Rows holding every responder count from 0 to 12, three of each, in a
+/// fixed shuffled order; each honest tag responds once. With `blocker`,
+/// tag 0 is the population's blocker and takes the middle place of every
+/// third non-empty row, so rows keep their lengths.
+Schedule everyRowLength(bool blocker) {
+  std::vector<std::size_t> lengths;
+  for (int copy = 0; copy < 3; ++copy) {
+    for (std::size_t n = 0; n <= 12; ++n) lengths.push_back(n);
+  }
+  Rng shuffle(97);
+  for (std::size_t i = lengths.size() - 1; i > 0; --i) {
+    std::swap(lengths[i], lengths[shuffle.below(i + 1)]);
+  }
+  Schedule sched;
+  sched.offsets.push_back(0);
+  std::size_t nextTag = 1;
+  std::size_t busyRows = 0;
+  for (const std::size_t n : lengths) {
+    std::vector<std::size_t> row;
+    for (std::size_t k = 0; k < n; ++k) row.push_back(nextTag++);
+    if (blocker && n != 0 && busyRows++ % 3 == 0) row[n / 2] = 0;
+    for (const std::size_t idx : row) {
+      sched.responders.push_back(static_cast<std::uint32_t>(idx));
+    }
+    sched.offsets.push_back(
+        static_cast<std::uint32_t>(sched.responders.size()));
+    sched.slots.push_back(std::move(row));
+  }
+  return sched;
+}
+
+TEST(BatchKernel, EveryRowLengthMatchesScalar) {
+  // The masked OR reads a fixed number of responders per row and loops
+  // past them, so every row length from 0 to 12 runs at every signal width
+  // a scheme ships (one word: QCD l=8; two words: CRC-CD and QCD l=40) and
+  // at three words. The leaky test scheme runs at all three widths: its
+  // verdicts show a wrong OR in rows the shipped detectors read as
+  // collided either way.
+  const auto leaky = [](std::size_t words) -> SchemeFactory {
+    return [words] { return std::make_unique<LeakyStatic>(words); };
+  };
+  const struct {
+    const char* name;
+    SchemeFactory make;
+  } schemes[] = {
+      {"QCD l=8", qcd(8)},
+      {"QCD l=40", qcd(40)},
+      {"CRC-CD",
+       [] { return std::make_unique<CrcCdScheme>(AirInterface{}); }},
+      {"leaky static, one word", leaky(1)},
+      {"leaky static, two words", leaky(2)},
+      {"leaky static, three words", leaky(3)},
+  };
+  const struct {
+    bool blocker;
+    bool ackVerify;
+  } setups[] = {{false, false}, {true, false}, {false, true}, {true, true}};
+  for (const auto& scheme : schemes) {
+    for (const auto& setup : setups) {
+      const Schedule sched = everyRowLength(setup.blocker);
+      const DiffConfig cfg{.tagCount = sched.responders.size() + 1,
+                           .blockerCount = setup.blocker ? 1u : 0u,
+                           .ackVerify = setup.ackVerify};
+      for (const bool observe : {true, false}) {
+        EXPECT_TRUE(scheduleMatchesScalar(scheme.make, orChannel, 101, sched,
+                                          cfg, observe))
+            << scheme.name << (setup.blocker ? ", one blocker" : "")
+            << (setup.ackVerify ? ", ACK-verify" : "")
+            << (observe ? ", observed" : ", unobserved");
+      }
+    }
+  }
 }
 
 // --- fallback path -----------------------------------------------------------

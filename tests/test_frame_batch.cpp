@@ -163,35 +163,46 @@ struct DiffConfig {
 };
 
 /// Runs the same protocol end to end under kScalar and kBatched and checks
-/// every observable output matches.
+/// every observable output matches, twice: with a RecordingObserver on both
+/// engines (every slot event compared), and with none (the path every
+/// census without a trace takes).
 void expectModesMatch(const ProtocolFactory& makeProtocol,
                       const SchemeFactory& makeScheme,
                       const ChannelFactory& makeChannel, std::uint64_t seed,
                       const DiffConfig& cfg = {}) {
-  Rig scalar(makeScheme, makeChannel, cfg.tagCount, seed, cfg.blockerCount,
-             cfg.ackVerify);
-  Rig batch(makeScheme, makeChannel, cfg.tagCount, seed, cfg.blockerCount,
-            cfg.ackVerify);
-  RecordingObserver scalarObs;
-  RecordingObserver batchObs;
-  scalar.engine.setObserver(&scalarObs);
-  batch.engine.setObserver(&batchObs);
+  for (const bool observe : {true, false}) {
+    Rig scalar(makeScheme, makeChannel, cfg.tagCount, seed, cfg.blockerCount,
+               cfg.ackVerify);
+    Rig batch(makeScheme, makeChannel, cfg.tagCount, seed, cfg.blockerCount,
+              cfg.ackVerify);
+    RecordingObserver scalarObs;
+    RecordingObserver batchObs;
+    if (observe) {
+      scalar.engine.setObserver(&scalarObs);
+      batch.engine.setObserver(&batchObs);
+    }
 
-  auto scalarProtocol = makeProtocol();
-  scalarProtocol->setFrameMode(Protocol::FrameMode::kScalar);
-  const bool scalarDone =
-      scalarProtocol->run(scalar.engine, scalar.tags, scalar.rng);
+    auto scalarProtocol = makeProtocol();
+    scalarProtocol->setFrameMode(Protocol::FrameMode::kScalar);
+    const bool scalarDone =
+        scalarProtocol->run(scalar.engine, scalar.tags, scalar.rng);
 
-  auto batchProtocol = makeProtocol();
-  batchProtocol->setFrameMode(Protocol::FrameMode::kBatched);
-  const bool batchDone = batchProtocol->run(batch.engine, batch.tags, batch.rng);
+    auto batchProtocol = makeProtocol();
+    batchProtocol->setFrameMode(Protocol::FrameMode::kBatched);
+    const bool batchDone =
+        batchProtocol->run(batch.engine, batch.tags, batch.rng);
 
-  EXPECT_EQ(scalarDone, batchDone) << "seed " << seed;
-  EXPECT_TRUE(metricsEqual(scalar.metrics, batch.metrics)) << "seed " << seed;
-  EXPECT_TRUE(tagsEqual(scalar.tags, batch.tags)) << "seed " << seed;
-  EXPECT_TRUE(eventsEqual(scalarObs, batchObs)) << "seed " << seed;
-  // Identical next draw ⇒ both paths consumed the RNG identically.
-  EXPECT_EQ(scalar.rng(), batch.rng()) << "seed " << seed;
+    const char* mode = observe ? "observed" : "unobserved";
+    EXPECT_EQ(scalarDone, batchDone) << "seed " << seed << ", " << mode;
+    EXPECT_TRUE(metricsEqual(scalar.metrics, batch.metrics))
+        << "seed " << seed << ", " << mode;
+    EXPECT_TRUE(tagsEqual(scalar.tags, batch.tags))
+        << "seed " << seed << ", " << mode;
+    EXPECT_TRUE(eventsEqual(scalarObs, batchObs))
+        << "seed " << seed << ", " << mode;
+    // Identical next draw ⇒ both paths consumed the RNG identically.
+    EXPECT_EQ(scalar.rng(), batch.rng()) << "seed " << seed << ", " << mode;
+  }
 }
 
 ProtocolFactory fsa(std::size_t frameSize,
