@@ -32,19 +32,21 @@
 # self-test rebuilds each census from public calls.
 #
 # `sh scripts/ci.sh identity BASE [bench...]` checks that a change leaves
-# bench output byte-identical: it builds git revision BASE in a temporary
-# `git worktree` (removed on exit) and the working tree in build/, runs
-# each named bench binary at RFID_ROUNDS=5 in both builds, and diffs their
-# stdout. Without bench names it runs the framed-path and tree-family
-# benches the bit-identity contract covers (DESIGN.md §5d-§5f), plus four
-# that reach the BitVec and population paths they skip: the impairment
-# passes (ablation_channel_noise), the CRC-preamble scheme
+# bench output byte-identical: it extracts git revision BASE with
+# `git archive` into a temporary directory (removed on exit; nothing is
+# written under .git/) and builds it there, builds the working tree in
+# build/, runs each named bench binary at RFID_ROUNDS=5 in both builds,
+# and diffs their stdout. Without bench names it runs the framed-path,
+# tree-family and birthday (ablation_neighbor_discovery) benches the
+# bit-identity contract covers (DESIGN.md §5d-§5f), plus four that reach
+# the BitVec and population paths they skip: the impairment passes
+# (ablation_channel_noise), the CRC-preamble scheme
 # (ablation_preamble_checksum), vectors longer than 128 bits
 # (ablation_privacy) and short IDs with dense dedup (ablation_id_length);
 # and three that print what the slot commit's identification pass writes:
 # identification times and delay statistics (fig06_delay) and phantom
-# ACKs (ablation_misdetection, fig05_accuracy). Exits nonzero when any
-# output differs.
+# ACKs (ablation_misdetection, fig05_accuracy): 20 benches. Exits nonzero
+# when any output differs.
 #
 # `sh scripts/ci.sh lint [--diff BASE]` runs the static-analysis gate
 # (clang-tidy with the checked-in .clang-tidy,
@@ -74,15 +76,15 @@ if [ "$mode" = "identity" ]; then
       table09_utilization ablation_qadaptive ablation_cardinality \
       ablation_mobile_tags ablation_tree_family lemma2_bt_slots \
       table08_bt_census table03_ei_bt ablation_capture \
-      ablation_channel_noise ablation_preamble_checksum ablation_privacy \
-      ablation_id_length fig06_delay ablation_misdetection fig05_accuracy
+      ablation_neighbor_discovery ablation_channel_noise \
+      ablation_preamble_checksum ablation_privacy ablation_id_length \
+      fig06_delay ablation_misdetection fig05_accuracy
   fi
   jobs="$(nproc 2>/dev/null || echo 4)"
   identdir=$(mktemp -d)
-  trap 'git worktree remove --force "$identdir/base" 2>/dev/null || true
-        git worktree prune
-        rm -rf "$identdir"' EXIT
-  git worktree add --detach --quiet "$identdir/base" "$base"
+  trap 'rm -rf "$identdir"' EXIT
+  mkdir "$identdir/base"
+  git archive "$base" | tar -x -C "$identdir/base"
   cmake -S "$identdir/base" -B "$identdir/base/build" > /dev/null
   cmake --build "$identdir/base/build" -j "$jobs" --target "$@"
   cmake -B build -S . > /dev/null

@@ -14,10 +14,11 @@ void AdaptiveBinarySplitting::resetAdaptation() {
   lastGroups_ = 0;
 }
 
-bool AdaptiveBinarySplitting::run(sim::SlotEngine& engine,
-                                  std::span<tags::Tag> tags,
-                                  common::Rng& rng) {
-  if (walk_.beginRun(tags, maxSlots()) == 0) return true;
+bool AdaptiveBinarySplitting::runWithSnapshot(sim::SlotEngine& engine,
+                                              std::span<tags::Tag> tags,
+                                              common::Rng& rng,
+                                              const sim::TagSoA& soa) {
+  if (walk_.beginRun(tags, soa, maxSlots()) == 0) return true;
 
   // Initial counters: remembered order for returning tags, a random draw
   // from the previous round's group range for new ones. The walk queries
@@ -25,9 +26,13 @@ bool AdaptiveBinarySplitting::run(sim::SlotEngine& engine,
   // exactly like counters incrementing behind the split.
   const std::uint64_t drawRange = std::max<std::uint64_t>(1, lastGroups_);
   walk_.regroup(1, [&](std::size_t idx) {
-    const auto it = nextCounter_.find(tags[idx].idValue);
+    const std::uint64_t id = tags[idx].idValue;
+    const auto it = std::lower_bound(
+        nextCounter_.begin(), nextCounter_.end(), id,
+        [](const Reservation& r, std::uint64_t key) { return r.id < key; });
     return static_cast<std::size_t>(
-        it != nextCounter_.end() ? it->second : rng.below(drawRange));
+        it != nextCounter_.end() && it->id == id ? it->counter
+                                                 : rng.below(drawRange));
   });
   const bool drained = walk_.depthFirst(engine, tags, rng);
 
@@ -39,9 +44,20 @@ bool AdaptiveBinarySplitting::run(sim::SlotEngine& engine,
   nextCounter_.clear();
   std::uint64_t nextReservation = 0;
   for (const std::size_t idx : walk_.read()) {
-    nextCounter_[tags[idx].idValue] = nextReservation++;
+    nextCounter_.push_back({tags[idx].idValue, nextReservation++});
   }
   if (drained) lastGroups_ = std::max<std::uint64_t>(1, nextReservation);
+  // Sort by ID; a repeated ID keeps its last (largest) reservation.
+  std::sort(nextCounter_.begin(), nextCounter_.end(),
+            [](const Reservation& a, const Reservation& b) {
+              return a.id != b.id ? a.id < b.id : a.counter > b.counter;
+            });
+  nextCounter_.erase(
+      std::unique(nextCounter_.begin(), nextCounter_.end(),
+                  [](const Reservation& a, const Reservation& b) {
+                    return a.id == b.id;
+                  }),
+      nextCounter_.end());
   return drained;
 }
 

@@ -7,7 +7,8 @@
 // random initial counter and are resolved by ordinary binary splitting.
 #pragma once
 
-#include <unordered_map>
+#include <cstdint>
+#include <vector>
 
 #include "anticollision/protocol.hpp"
 #include "anticollision/split_walk.hpp"
@@ -19,17 +20,24 @@ class AdaptiveBinarySplitting final : public Protocol {
   explicit AdaptiveBinarySplitting(std::size_t maxSlots = kDefaultMaxSlots);
 
   std::string name() const override;
-  bool run(sim::SlotEngine& engine, std::span<tags::Tag> tags,
-           common::Rng& rng) override;
+  bool runWithSnapshot(sim::SlotEngine& engine, std::span<tags::Tag> tags,
+                       common::Rng& rng, const sim::TagSoA& soa) override;
 
   /// Forgets the reservation state learned from previous rounds.
   void resetAdaptation();
 
  private:
+  struct Reservation {
+    std::uint64_t id;       ///< the tag's ID value
+    std::uint64_t counter;  ///< its next-round initial counter
+  };
+
   SplitWalk walk_;
-  /// Next-round initial counter per tag (keyed by ID value), learned from
-  /// the identification order of the previous round.
-  std::unordered_map<std::uint64_t, std::uint64_t> nextCounter_;
+  /// Next-round initial counter per tag, learned from the identification
+  /// order of the previous round: sorted by ID, one entry per ID (the
+  /// last reservation of a repeated ID), binary-searched. Cleared and
+  /// refilled every round, so it grows to a high-water mark only.
+  std::vector<Reservation> nextCounter_;
   /// Number of groups the previous round terminated with (the counter range
   /// newly arrived tags draw from).
   std::uint64_t lastGroups_ = 0;

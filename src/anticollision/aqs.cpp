@@ -1,7 +1,6 @@
 #include "anticollision/aqs.hpp"
 
 #include <algorithm>
-#include <set>
 #include <utility>
 
 namespace rfid::anticollision {
@@ -47,11 +46,12 @@ std::string AdaptiveQuerySplitting::name() const { return "AQS"; }
 
 void AdaptiveQuerySplitting::resetAdaptation() { candidates_.clear(); }
 
-bool AdaptiveQuerySplitting::run(sim::SlotEngine& engine,
-                                 std::span<tags::Tag> tags,
-                                 common::Rng& rng) {
+bool AdaptiveQuerySplitting::runWithSnapshot(sim::SlotEngine& engine,
+                                             std::span<tags::Tag> tags,
+                                             common::Rng& rng,
+                                             const sim::TagSoA& soa) {
   const std::size_t idBits = engine.scheme().air().idBits;
-  std::size_t contenders = walk_.beginRun(tags, maxSlots());
+  std::size_t contenders = walk_.beginRun(tags, soa, maxSlots());
   for (;;) {
     // One group per candidate query (the root when there are none yet); a
     // tag no candidate matches, only possible after a jammed round, joins
@@ -71,30 +71,57 @@ bool AdaptiveQuerySplitting::run(sim::SlotEngine& engine,
   }
 }
 
-// Query deletion: sibling idle leaves merge into their parent. Deepest
-// first, a popped leaf's sibling can only be in the set already, and a
-// merged parent is popped after every leaf deeper than it.
+// Query deletion: sibling idle leaves merge into their parent, level by
+// level, deepest first. A level's idle prefixes are its idle leaves merged
+// with the parents the level below produced, both ascending, repeats
+// dropped (a re-asked root query can repeat a leaf). In ascending order an
+// even prefix's sibling is the next entry, so each adjacent pair merges
+// into a parent of the next level up and every other prefix (the root
+// too) becomes a candidate.
 void AdaptiveQuerySplitting::learnCandidates() {
+  // No more candidates, or idle leaves, than readable leaves.
   candidates_.clear();
-  std::set<Prefix, decltype(deepestFirst)> idle;
+  candidates_.reserve(walk_.leaves().size());
+  idle_.clear();
+  idle_.reserve(walk_.leaves().size());
   for (const SplitWalk::Leaf& leaf : walk_.leaves()) {
     if (leaf.type == phy::SlotType::kIdle) {
-      idle.insert(leaf.prefix);
+      idle_.push_back(leaf.prefix);
     } else {
       candidates_.push_back(leaf.prefix);
     }
   }
-  while (!idle.empty()) {
-    const Prefix p = *idle.begin();
-    idle.erase(idle.begin());
-    const auto sibling = p.length > 0
-                             ? idle.find(Prefix{p.value ^ 1u, p.length})
-                             : idle.end();
-    if (sibling == idle.end()) {
-      candidates_.push_back(p);
-    } else {
-      idle.erase(sibling);
-      idle.insert(p.parent());
+  std::sort(idle_.begin(), idle_.end(), deepestFirst);
+  parents_.clear();
+  for (auto next = idle_.begin(); next != idle_.end() || !parents_.empty();) {
+    // The deepest pending level: the parents' (always one shallower than
+    // the level that made them) or the next idle leaf's.
+    const unsigned length =
+        next == idle_.end() ||
+                (!parents_.empty() && parents_.front().length > next->length)
+            ? parents_.front().length
+            : next->length;
+    const auto levelEnd =
+        std::find_if(next, idle_.end(),
+                     [length](const Prefix& p) { return p.length != length; });
+    level_.resize(static_cast<std::size_t>(levelEnd - next) +
+                  parents_.size());
+    level_.erase(std::unique(level_.begin(),
+                             std::merge(next, levelEnd, parents_.begin(),
+                                        parents_.end(), level_.begin(),
+                                        byLengthThenValue)),
+                 level_.end());
+    next = levelEnd;
+    parents_.clear();
+    for (std::size_t k = 0; k < level_.size(); ++k) {
+      const Prefix p = level_[k];
+      if (p.length > 0 && (p.value & 1u) == 0 && k + 1 < level_.size() &&
+          level_[k + 1].value == (p.value | 1u)) {
+        parents_.push_back(p.parent());
+        ++k;
+      } else {
+        candidates_.push_back(p);
+      }
     }
   }
   std::sort(candidates_.begin(), candidates_.end(), byLengthThenValue);

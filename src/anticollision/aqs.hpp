@@ -19,8 +19,8 @@ class AdaptiveQuerySplitting final : public Protocol {
   explicit AdaptiveQuerySplitting(std::size_t maxSlots = kDefaultMaxSlots);
 
   std::string name() const override;
-  bool run(sim::SlotEngine& engine, std::span<tags::Tag> tags,
-           common::Rng& rng) override;
+  bool runWithSnapshot(sim::SlotEngine& engine, std::span<tags::Tag> tags,
+                       common::Rng& rng, const sim::TagSoA& soa) override;
 
   /// Forgets the candidate queries learned from previous rounds.
   void resetAdaptation();
@@ -35,6 +35,12 @@ class AdaptiveQuerySplitting final : public Protocol {
 
   SplitWalk walk_;
   std::vector<Prefix> candidates_;
+  /// learnCandidates scratch, kept to reuse its storage: the walk's idle
+  /// leaves deepest first, one level's merged idle prefixes, and the
+  /// parents its sibling pairs merge into.
+  std::vector<Prefix> idle_;
+  std::vector<Prefix> level_;
+  std::vector<Prefix> parents_;
 };
 
 }  // namespace rfid::anticollision

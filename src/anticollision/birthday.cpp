@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "common/alloc_guard.hpp"
 #include "common/require.hpp"
 
 namespace rfid::anticollision {
@@ -18,11 +19,15 @@ BirthdayProtocol::BirthdayProtocol(double initialP, double minP,
 
 std::string BirthdayProtocol::name() const { return "Birthday"; }
 
-bool BirthdayProtocol::run(sim::SlotEngine& engine, std::span<tags::Tag> tags,
-                           common::Rng& rng) {
-  std::vector<std::size_t> blockers;
-  blockerIndicesInto(tags, blockers);
-  std::vector<std::size_t> responders;
+// rfid:noexcept-allow: requireSnapshot and runSlotsBatch carry test-pinned
+// REQUIREs
+bool BirthdayProtocol::runWithSnapshot(sim::SlotEngine& engine,
+                                       std::span<tags::Tag> tags,
+                                       common::Rng& rng,
+                                       const sim::TagSoA& soa) {
+  ALLOC_GUARD_HOT();
+  requireSnapshot(tags, soa);
+  blockerIndicesInto(tags, blockers_);
   double p = initialP_;
   std::size_t slotsUsed = 0;
   // A real listener confirms completion by silence: with Bernoulli
@@ -34,25 +39,26 @@ bool BirthdayProtocol::run(sim::SlotEngine& engine, std::span<tags::Tag> tags,
   // would otherwise leak into every protocol-completeness statistic.
   std::size_t consecutiveIdle = 0;
 
-  std::vector<std::size_t> active;
-  activeTagIndicesInto(tags, active);
+  activeTagIndicesInto(tags, active_);
   while (slotsUsed < maxSlots()) {
     const auto quietTarget =
         static_cast<std::size_t>(std::ceil(4.0 / p));
-    if (active.empty() && blockers.empty() &&
+    if (active_.empty() && blockers_.empty() &&
         consecutiveIdle >= quietTarget) {
       return true;
     }
     ++slotsUsed;
-    responders.clear();
-    for (const std::size_t idx : active) {
+    row_.clear();
+    for (const std::size_t idx : active_) {
       if (rng.chance(p)) {
-        responders.push_back(idx);
+        common::pushBackAmortized(row_, static_cast<std::uint32_t>(idx));
       }
     }
-    responders.insert(responders.end(), blockers.begin(), blockers.end());
+    for (const std::size_t idx : blockers_) {
+      common::pushBackAmortized(row_, static_cast<std::uint32_t>(idx));
+    }
 
-    switch (engine.runSlot(tags, responders, rng)) {
+    switch (runOneSlot(engine, tags, soa, row_, rng)) {
       case phy::SlotType::kIdle:
         ++consecutiveIdle;
         // Idle: the channel is under-used — probe more aggressively.
@@ -67,8 +73,11 @@ bool BirthdayProtocol::run(sim::SlotEngine& engine, std::span<tags::Tag> tags,
         consecutiveIdle = 0;
         break;
     }
-    if (!responders.empty()) {
-      activeTagIndicesInto(tags, active);
+    // Only a slot with a transmitter can discover a node, and none is
+    // ever rediscovered, so dropping the newly silenced keeps the set
+    // and its order.
+    if (!row_.empty()) {
+      filterStillActive(tags, active_);
     }
   }
   return false;

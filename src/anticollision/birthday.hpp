@@ -11,7 +11,16 @@
 //
 // Collision detection is what makes the slot feedback possible at all, so
 // QCD's cheap preambles shorten every one of those ~e·n·ln n slots.
+//
+// Each slot's transmitters (the undiscovered nodes whose coin came up, in
+// index order, then every blocker) run as a one-row sim::SlotBatch over
+// the run's TagSoA snapshot, so on a pure OR channel the slot takes the
+// packed kernel. The scratch lives on the protocol and grows to high-water
+// marks only.
 #pragma once
+
+#include <cstdint>
+#include <vector>
 
 #include "anticollision/protocol.hpp"
 
@@ -25,12 +34,17 @@ class BirthdayProtocol final : public Protocol {
                             std::size_t maxSlots = kDefaultMaxSlots);
 
   std::string name() const override;
-  bool run(sim::SlotEngine& engine, std::span<tags::Tag> tags,
-           common::Rng& rng) override;
+  bool runWithSnapshot(sim::SlotEngine& engine, std::span<tags::Tag> tags,
+                       common::Rng& rng, const sim::TagSoA& soa) override;
 
  private:
   double initialP_;
   double minP_;
+  std::vector<std::size_t> blockers_;
+  /// Undiscovered nodes, in index order.
+  std::vector<std::size_t> active_;
+  /// One slot's CSR row: the transmitting nodes, then the blockers.
+  std::vector<std::uint32_t> row_;
 };
 
 /// Expected slots for full discovery at the optimal fixed p = 1/n when

@@ -10,9 +10,10 @@ std::string BinaryTree::name() const { return "BT"; }
 // SplitWalk's depth-first stack is the standard equivalent formulation,
 // which avoids scanning every tag on every slot (n = 50000). An empty
 // field costs no slot.
-bool BinaryTree::run(sim::SlotEngine& engine, std::span<tags::Tag> tags,
-                     common::Rng& rng) {
-  return walk_.beginRun(tags, maxSlots()) == 0 ||
+bool BinaryTree::runWithSnapshot(sim::SlotEngine& engine,
+                                 std::span<tags::Tag> tags, common::Rng& rng,
+                                 const sim::TagSoA& soa) {
+  return walk_.beginRun(tags, soa, maxSlots()) == 0 ||
          walk_.depthFirst(engine, tags, rng);
 }
 

@@ -7,6 +7,7 @@
 #include "common/require.hpp"
 #include "common/stats.hpp"
 #include "sim/engine.hpp"
+#include "sim/tag_soa.hpp"
 
 namespace rfid::anticollision {
 
@@ -95,8 +96,10 @@ CardinalityEstimate estimateCardinality(const core::DetectionScheme& scheme,
   sim::SlotEngine engine(scheme, channel, metrics);
   common::RunningStats perFrame;
 
+  sim::TagSoA soa;
+  soa.gather(tags, scheme);
   FrameBatcher batcher;
-  batcher.beginRound(tags, engine, nullptr);
+  batcher.beginRound(tags, soa);
   const std::span<const std::size_t> contenders = batcher.gatherActive(tags);
   for (std::size_t f = 0; f < config.probeFrames; ++f) {
     const FrameCensus census = tallyFrame(batcher.runFrame(

@@ -9,6 +9,7 @@
 #include "phy/channel.hpp"
 #include "sim/engine.hpp"
 #include "sim/metrics.hpp"
+#include "sim/tag_soa.hpp"
 #include "tags/tag.hpp"
 
 namespace rfid::anticollision {
@@ -34,6 +35,7 @@ MobileResult runMobileScenario(const core::DetectionScheme& scheme,
   phy::OrChannel channel;
   sim::Metrics metrics;
   sim::SlotEngine engine(scheme, channel, metrics);
+  sim::TagSoA soa;
   FrameBatcher batcher;
   MobileResult result;
 
@@ -79,8 +81,10 @@ MobileResult runMobileScenario(const core::DetectionScheme& scheme,
     }
 
     // One inventory frame over the unidentified tags currently present; an
-    // empty field still costs the reader one idle frame.
-    batcher.beginRound(present, engine, nullptr);
+    // empty field still costs the reader one idle frame. Tags arrive and
+    // depart between frames, so every frame gathers its own snapshot.
+    soa.gather(present, scheme);
+    batcher.beginRound(present, soa);
     const std::span<const std::size_t> contenders =
         batcher.gatherActive(present);
     (void)batcher.runFrame(engine, present, config.frameSize,

@@ -1,5 +1,6 @@
-// FrameBatcher: the slot engine's one frame renderer; FramedAloha: the one
-// frame loop of FSA and DFSA.
+// Protocol::run, the snapshot-gathering entry; FrameBatcher: the slot
+// engine's one frame renderer; FramedAloha: the one frame loop of FSA and
+// DFSA.
 //
 // Each frame is one sequence of slot draws, in ascending tag order. The
 // draw step (drawFrame) lays the draws out by a two-pass counting sort into
@@ -21,19 +22,26 @@
 
 namespace rfid::anticollision {
 
+bool Protocol::run(sim::SlotEngine& engine, std::span<tags::Tag> tags,
+                   common::Rng& rng) {
+  ownSoa_.gather(tags, engine.scheme());
+  return runWithSnapshot(engine, tags, rng, ownSoa_);
+}
+
+void Protocol::requireSnapshot(std::span<const tags::Tag> tags,
+                               const sim::TagSoA& soa) {
+  RFID_REQUIRE(soa.size() == tags.size(),
+               "SoA snapshot does not match the tag population");
+  RFID_REQUIRE(tags.size() <= std::numeric_limits<std::uint32_t>::max(),
+               "population exceeds 32-bit CSR indexing");
+}
+
 void FrameBatcher::beginRound(std::span<const tags::Tag> tags,
-                              const sim::SlotEngine& engine,
-                              const sim::TagSoA* shared,
+                              const sim::TagSoA& soa,
                               Protocol::FrameMode mode) {
+  Protocol::requireSnapshot(tags, soa);
   mode_ = mode;
-  if (shared != nullptr) {
-    RFID_REQUIRE(shared->size() == tags.size(),
-                 "shared SoA snapshot does not match the tag population");
-    soa_ = shared;
-  } else {
-    ownSoa_.gather(tags, engine.scheme());
-    soa_ = &ownSoa_;
-  }
+  soa_ = &soa;
   Protocol::blockerIndicesInto(tags, blockers_);
   activeGathered_ = false;
   rows_ = 0;
@@ -148,13 +156,9 @@ phy::SlotType FrameBatcher::runRow(sim::SlotEngine& engine,
   ALLOC_GUARD_HOT();
   RFID_REQUIRE(slot < rows_, "row outside the last drawn frame");
   const std::uint32_t begin = offsets_[slot];
-  const std::uint32_t rowOffsets[2] = {0, offsets_[slot + 1] - begin};
-  phy::SlotType verdict{};
-  engine.runSlotsBatch(tags, *soa_,
-                       {{responders_.data() + begin, rowOffsets[1]},
-                        rowOffsets},
-                       rng, {&verdict, 1});
-  return verdict;
+  return runOneSlot(engine, tags, *soa_,
+                    {responders_.data() + begin, offsets_[slot + 1] - begin},
+                    rng);
 }
 
 // rfid:noexcept-allow: requireFrame carries the test-pinned REQUIREs
@@ -198,23 +202,12 @@ std::span<const phy::SlotType> FrameBatcher::runFrame(
   return {detected_.data(), slotsToRun};
 }
 
-bool FramedAloha::run(sim::SlotEngine& engine, std::span<tags::Tag> tags,
-                      common::Rng& rng) {
-  return runFrames(engine, tags, rng, nullptr);
-}
-
+// rfid:noexcept-allow: beginRound and runFrame carry test-pinned REQUIREs
 bool FramedAloha::runWithSnapshot(sim::SlotEngine& engine,
                                   std::span<tags::Tag> tags, common::Rng& rng,
                                   const sim::TagSoA& soa) {
-  return runFrames(engine, tags, rng, &soa);
-}
-
-// rfid:noexcept-allow: beginRound and runFrame carry test-pinned REQUIREs
-bool FramedAloha::runFrames(sim::SlotEngine& engine, std::span<tags::Tag> tags,
-                            common::Rng& rng, const sim::TagSoA* soa) {
-  batcher_.beginRound(tags, engine, soa, frameMode());
-  // beginRound's private snapshot gather may allocate; the frames may not.
   ALLOC_GUARD_HOT();
+  batcher_.beginRound(tags, soa, frameMode());
 
   // The reader cannot observe the ground truth, so it keeps launching
   // frames until one passes with no response at all — that terminal

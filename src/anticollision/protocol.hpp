@@ -7,13 +7,18 @@
 // what lets every protocol run unchanged under CRC-CD, QCD or the ideal
 // oracle — the paper's compatibility claim (§I).
 //
-// Every frame the slot engine runs is drawn by FrameBatcher: FSA and DFSA
-// (FramedAloha runs their one frame loop, a protocol only sizes the next
-// frame), Q-adaptive's Query rounds, the cardinality probe and the mobile
-// inventory. (gen2::Gen2Reader models Gen2 at command level, with its own
-// tag state machine, and does not run on the slot engine.)
+// Every slot a protocol runs reaches the engine through its one batch
+// entry, SlotEngine::runSlotsBatch, over an SoA snapshot of the tags
+// (sim::TagSoA) that Protocol::runWithSnapshot binds. Every frame is drawn
+// by FrameBatcher: FSA and DFSA (FramedAloha runs their one frame loop, a
+// protocol only sizes the next frame), Q-adaptive's Query rounds, the
+// cardinality probe and the mobile inventory. The tree walkers and
+// birthday run each slot as a one-row batch. (gen2::Gen2Reader models Gen2
+// at command level, with its own tag state machine, and does not run on
+// the slot engine.)
 #pragma once
 
+#include <cstdint>
 #include <span>
 #include <string>
 #include <vector>
@@ -34,8 +39,8 @@ class Protocol {
   /// emitter by the engine's equivalence contract (DESIGN.md §5d/§5e), but
   /// many times faster when the packed fast path engages. kScalar selects
   /// the per-slot runSlot reference emitter; it exists for the differential
-  /// tests and as a debugging oracle. The tree walkers and Q-adaptive
-  /// (which runs its drawn rows one at a time) ignore the mode.
+  /// tests and as a debugging oracle. The tree walkers, birthday and
+  /// Q-adaptive (which runs its drawn rows one at a time) ignore the mode.
   enum class FrameMode { kBatched, kScalar };
 
   /// `maxSlots` is a safety cap: a run that exceeds it aborts and run()
@@ -50,22 +55,23 @@ class Protocol {
   /// tag fell silent (believes it was identified) within the slot budget.
   /// Callers reset tag state beforehand (Tag::resetForRound) unless the
   /// protocol is adaptive across rounds (ABS/AQS keep reservation state).
-  virtual bool run(sim::SlotEngine& engine, std::span<tags::Tag> tags,
-                   common::Rng& rng) = 0;
+  /// Gathers the protocol's own SoA snapshot of `tags` under the engine's
+  /// scheme, reusing its storage from run to run, and forwards to
+  /// runWithSnapshot.
+  bool run(sim::SlotEngine& engine, std::span<tags::Tag> tags,
+           common::Rng& rng);
 
-  /// As run(), but with a caller-provided SoA snapshot of `tags` gathered
-  /// under the engine's scheme (sim::TagSoA::gather). Frame-batched
-  /// protocols reuse it instead of re-gathering — the experiment runner
-  /// gathers once per Monte-Carlo round and shares the snapshot across the
-  /// initial census and every recovery pass. Blocker flags and tag IDs must
-  /// not change while the snapshot is in use. The default forwards to
-  /// run(), ignoring the snapshot.
+  /// The one run entry every protocol implements: run() over a
+  /// caller-provided SoA snapshot of `tags` gathered under the engine's
+  /// scheme (sim::TagSoA::gather). Every slot of the run is a
+  /// SlotEngine::runSlotsBatch call over this snapshot. The experiment
+  /// runner gathers once per Monte-Carlo round and shares the snapshot
+  /// across the initial census and every recovery pass. Blocker flags and
+  /// tag IDs must not change while the snapshot is in use; a snapshot of
+  /// another population throws PreconditionError before any slot runs.
   virtual bool runWithSnapshot(sim::SlotEngine& engine,
                                std::span<tags::Tag> tags, common::Rng& rng,
-                               const sim::TagSoA& soa) {
-    (void)soa;
-    return run(engine, tags, rng);
-  }
+                               const sim::TagSoA& soa) = 0;
 
   void setFrameMode(FrameMode mode) noexcept { frameMode_ = mode; }
   FrameMode frameMode() const noexcept { return frameMode_; }
@@ -90,6 +96,10 @@ class Protocol {
   /// (believesIdentified only ever flips to true); allocation-free.
   static void filterStillActive(std::span<const tags::Tag> tags,
                                 std::vector<std::size_t>& active);
+  /// Throws PreconditionError unless `soa` holds `tags`' size and every
+  /// tag index fits a batch's 32-bit CSR row.
+  static void requireSnapshot(std::span<const tags::Tag> tags,
+                              const sim::TagSoA& soa);
 
  private:
   /// FrameBatcher and SplitWalk reuse the Into-helpers for their own
@@ -99,7 +109,24 @@ class Protocol {
 
   std::size_t maxSlots_;
   FrameMode frameMode_ = FrameMode::kBatched;
+  /// run()'s snapshot, regathered every run into the same storage.
+  sim::TagSoA ownSoa_;
 };
+
+/// Runs `row`, indices into `tags`, as a one-slot sim::SlotBatch over `soa`
+/// and returns the slot's effective verdict (a rejected verify reads as
+/// collided). The tree walkers, birthday and FrameBatcher::runRow run their
+/// lone slots here.
+inline phy::SlotType runOneSlot(sim::SlotEngine& engine,
+                                std::span<tags::Tag> tags,
+                                const sim::TagSoA& soa,
+                                std::span<const std::uint32_t> row,
+                                common::Rng& rng) {
+  const std::uint32_t offsets[2] = {0, static_cast<std::uint32_t>(row.size())};
+  phy::SlotType verdict{};
+  engine.runSlotsBatch(tags, soa, {row, offsets}, rng, {&verdict, 1});
+  return verdict;
+}
 
 /// The slot engine's one frame renderer: FramedAloha's frames, Q-adaptive's
 /// Query rounds, the cardinality probe and the mobile inventory all draw
@@ -120,13 +147,12 @@ class Protocol {
 /// same observer events, same tag state.
 class FrameBatcher {
  public:
-  /// Caches the blocker set, selects runFrame's emitter, and binds the SoA
-  /// snapshot for the round: `shared` when the caller gathered one
-  /// (runWithSnapshot), otherwise a freshly gathered private snapshot. Call
-  /// at the top of every run(); blocker flags and tag IDs must stay fixed
-  /// for the rest of the round.
-  void beginRound(std::span<const tags::Tag> tags,
-                  const sim::SlotEngine& engine, const sim::TagSoA* shared,
+  /// Caches the blocker set, selects runFrame's emitter, and binds `soa`,
+  /// a snapshot of `tags` gathered under the engine's scheme, for the
+  /// round. Call at the top of every round; the snapshot must outlive it,
+  /// and blocker flags and tag IDs must stay fixed until it ends. Throws
+  /// PreconditionError as Protocol::requireSnapshot does.
+  void beginRound(std::span<const tags::Tag> tags, const sim::TagSoA& soa,
                   Protocol::FrameMode mode = Protocol::FrameMode::kBatched);
 
   /// Blocker indices cached by beginRound.
@@ -176,7 +202,6 @@ class FrameBatcher {
 
   Protocol::FrameMode mode_ = Protocol::FrameMode::kBatched;
   const sim::TagSoA* soa_ = nullptr;
-  sim::TagSoA ownSoa_;
   std::vector<std::size_t> blockers_;
   std::vector<std::size_t> active_;
   /// False until the round's first gatherActive full scan has run.
@@ -203,8 +228,6 @@ class FrameBatcher {
 /// supplies the first frame size and nextFrame().
 class FramedAloha : public Protocol {
  public:
-  bool run(sim::SlotEngine& engine, std::span<tags::Tag> tags,
-           common::Rng& rng) final;
   bool runWithSnapshot(sim::SlotEngine& engine, std::span<tags::Tag> tags,
                        common::Rng& rng, const sim::TagSoA& soa) final;
 
@@ -222,9 +245,6 @@ class FramedAloha : public Protocol {
       std::span<const phy::SlotType> verdicts) const = 0;
 
  private:
-  bool runFrames(sim::SlotEngine& engine, std::span<tags::Tag> tags,
-                 common::Rng& rng, const sim::TagSoA* soa);
-
   std::size_t firstFrame_;
   FrameBatcher batcher_;
 };

@@ -19,24 +19,13 @@ QAdaptive::QAdaptive(double initialQ, double c, double maxQ,
 
 std::string QAdaptive::name() const { return "Q-Adaptive[C=" + std::to_string(c_) + "]"; }
 
-bool QAdaptive::run(sim::SlotEngine& engine, std::span<tags::Tag> tags,
-                    common::Rng& rng) {
-  return runRounds(engine, tags, rng, nullptr);
-}
-
+// rfid:noexcept-allow: beginRound, drawFrame and runRow carry test-pinned
+// REQUIREs
 bool QAdaptive::runWithSnapshot(sim::SlotEngine& engine,
                                 std::span<tags::Tag> tags, common::Rng& rng,
                                 const sim::TagSoA& soa) {
-  return runRounds(engine, tags, rng, &soa);
-}
-
-// rfid:noexcept-allow: beginRound, drawFrame and runRow carry test-pinned
-// REQUIREs
-bool QAdaptive::runRounds(sim::SlotEngine& engine, std::span<tags::Tag> tags,
-                          common::Rng& rng, const sim::TagSoA* soa) {
-  batcher_.beginRound(tags, engine, soa);
-  // beginRound's private snapshot gather may allocate; the rounds may not.
   ALLOC_GUARD_HOT();
+  batcher_.beginRound(tags, soa);
   double qFp = initialQ_;
   std::size_t slotsUsed = 0;
   while (!batcher_.gatherActive(tags).empty()) {

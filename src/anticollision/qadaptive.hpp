@@ -22,15 +22,10 @@ class QAdaptive final : public Protocol {
                      std::size_t maxSlots = kDefaultMaxSlots);
 
   std::string name() const override;
-  bool run(sim::SlotEngine& engine, std::span<tags::Tag> tags,
-           common::Rng& rng) override;
   bool runWithSnapshot(sim::SlotEngine& engine, std::span<tags::Tag> tags,
                        common::Rng& rng, const sim::TagSoA& soa) override;
 
  private:
-  bool runRounds(sim::SlotEngine& engine, std::span<tags::Tag> tags,
-                 common::Rng& rng, const sim::TagSoA* soa);
-
   double initialQ_;
   double c_;
   double maxQ_;

@@ -12,9 +12,10 @@ std::string QueryTree::name() const { return "QT"; }
 // answer. Walks repeat while they make progress, on one slot budget. The
 // root query is issued even over an empty field: the reader pays one idle
 // slot to learn there is nothing to read.
-bool QueryTree::run(sim::SlotEngine& engine, std::span<tags::Tag> tags,
-                    common::Rng& rng) {
-  std::size_t contenders = walk_.beginRun(tags, maxSlots());
+bool QueryTree::runWithSnapshot(sim::SlotEngine& engine,
+                                std::span<tags::Tag> tags, common::Rng& rng,
+                                const sim::TagSoA& soa) {
+  std::size_t contenders = walk_.beginRun(tags, soa, maxSlots());
   for (;;) {
     if (!walk_.breadthFirst(engine, tags, rng)) return false;
     const std::size_t remaining = walk_.gather(tags);

@@ -18,8 +18,8 @@ class QueryTree final : public Protocol {
   explicit QueryTree(std::size_t maxSlots = kDefaultMaxSlots);
 
   std::string name() const override;
-  bool run(sim::SlotEngine& engine, std::span<tags::Tag> tags,
-           common::Rng& rng) override;
+  bool runWithSnapshot(sim::SlotEngine& engine, std::span<tags::Tag> tags,
+                       common::Rng& rng, const sim::TagSoA& soa) override;
 
  private:
   SplitWalk walk_;

@@ -17,7 +17,9 @@
 namespace rfid::anticollision {
 
 std::size_t SplitWalk::beginRun(std::span<const tags::Tag> tags,
-                                std::size_t maxSlots) {
+                                const sim::TagSoA& soa, std::size_t maxSlots) {
+  Protocol::requireSnapshot(tags, soa);
+  soa_ = &soa;
   Protocol::blockerIndicesInto(tags, blockers_);
   slotsUsed_ = 0;
   maxSlots_ = maxSlots;
@@ -30,17 +32,19 @@ std::size_t SplitWalk::gather(std::span<const tags::Tag> tags) {
   return arena_.size();
 }
 
+// The group's members in group order, then the blockers: the order that
+// fixes a per-slot scheme's draws.
 phy::SlotType SplitWalk::query(sim::SlotEngine& engine,
                                std::span<tags::Tag> tags, const Group& group,
                                common::Rng& rng) {
-  responders_.clear();
+  row_.clear();
   for (std::size_t k = group.begin; k < group.end; ++k) {
-    common::pushBackAmortized(responders_, arena_[k]);
+    common::pushBackAmortized(row_, static_cast<std::uint32_t>(arena_[k]));
   }
   for (const std::size_t idx : blockers_) {
-    common::pushBackAmortized(responders_, idx);
+    common::pushBackAmortized(row_, static_cast<std::uint32_t>(idx));
   }
-  return engine.runSlot(tags, responders_, rng);
+  return runOneSlot(engine, tags, *soa_, row_, rng);
 }
 
 // Members that fell silent join the read list; the rest keep their order,
@@ -70,8 +74,8 @@ std::size_t SplitWalk::split(std::span<const tags::Tag> tags, Group& group,
   return mid;
 }
 
-// rfid:noexcept-allow: runSlot's responder-range REQUIRE is a test-pinned
-// API contract
+// rfid:noexcept-allow: runSlotsBatch's batch REQUIREs are test-pinned API
+// contracts
 bool SplitWalk::depthFirst(sim::SlotEngine& engine, std::span<tags::Tag> tags,
                            common::Rng& rng) {
   ALLOC_GUARD_HOT();
@@ -102,8 +106,8 @@ bool SplitWalk::depthFirst(sim::SlotEngine& engine, std::span<tags::Tag> tags,
   return true;
 }
 
-// rfid:noexcept-allow: runSlot's responder-range REQUIRE is a test-pinned
-// API contract
+// rfid:noexcept-allow: runSlotsBatch's batch REQUIREs are test-pinned API
+// contracts
 bool SplitWalk::breadthFirst(sim::SlotEngine& engine,
                              std::span<tags::Tag> tags, common::Rng& rng,
                              std::span<const Prefix> roots) {

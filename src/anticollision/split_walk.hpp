@@ -10,9 +10,13 @@
 // It keeps a round's contenders in one index arena, where every outstanding
 // group is a span, and splits a collided group in place and stably: members
 // keep their order, so the coin is drawn for them in group order, and
-// members that fell silent drop out. Blockers are appended to every query.
-// All walks of one run draw on one slot budget. Buffers grow to high-water
-// marks only, so a warmed-up walk allocates nothing.
+// members that fell silent drop out. Each query lays its group out, the
+// blockers appended, as a one-row sim::SlotBatch over the run's TagSoA
+// snapshot and hands it to SlotEngine::runSlotsBatch, so a query on a pure
+// OR channel runs the packed kernel (CRC-CD reads the snapshot's static
+// rows) and any other query takes the engine's per-slot fallback. All walks
+// of one run draw on one slot budget. Buffers grow to high-water marks
+// only, so a warmed-up walk allocates nothing.
 #pragma once
 
 #include <algorithm>
@@ -24,6 +28,7 @@
 #include "common/rng.hpp"
 #include "phy/timing.hpp"
 #include "sim/engine.hpp"
+#include "sim/tag_soa.hpp"
 #include "tags/tag.hpp"
 
 namespace rfid::anticollision {
@@ -48,10 +53,14 @@ class SplitWalk {
     phy::SlotType type;
   };
 
-  /// Starts a run: caches the blockers, sets the slot budget that every
-  /// walk of the run draws on, and gathers. Blocker flags must stay fixed
-  /// until the run ends.
-  std::size_t beginRun(std::span<const tags::Tag> tags, std::size_t maxSlots);
+  /// Starts a run: binds `soa`, a snapshot of `tags` gathered under the
+  /// engine's scheme, that every query of the run batches over; caches the
+  /// blockers, sets the slot budget that every walk of the run draws on,
+  /// and gathers. The snapshot must outlive the run, and blocker flags and
+  /// tag IDs must stay fixed until it ends. Throws PreconditionError as
+  /// Protocol::requireSnapshot does.
+  std::size_t beginRun(std::span<const tags::Tag> tags, const sim::TagSoA& soa,
+                       std::size_t maxSlots);
 
   /// Lays the still-contending honest tags out as one group, in index
   /// order (the root query, or counter 0), and returns how many there are.
@@ -118,6 +127,7 @@ class SplitWalk {
 
   std::size_t slotsUsed_ = 0;
   std::size_t maxSlots_ = 0;
+  const sim::TagSoA* soa_ = nullptr;
   std::vector<std::size_t> blockers_;
   /// The round's contenders; every outstanding group is a span of it.
   std::vector<std::size_t> arena_;
@@ -125,7 +135,8 @@ class SplitWalk {
   std::vector<Group> groups_;
   std::vector<std::size_t> keys_;
   std::vector<std::size_t> scratch_;
-  std::vector<std::size_t> responders_;
+  /// The query's one CSR row: the group's members, then the blockers.
+  std::vector<std::uint32_t> row_;
   std::vector<std::size_t> read_;
   std::vector<Leaf> leaves_;
 };

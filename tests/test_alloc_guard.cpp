@@ -353,8 +353,7 @@ std::uint64_t censusAllocations(rfid::anticollision::ExperimentConfig config,
 
 TEST_F(AllocGuardCensus, WholeCensusAllocationsStayFlat) {
   // No allocation per tag: under 100 for a 500-tag census, and at most 32
-  // more for 5 000 tags. ABS and AQS are out of scope: their cross-round
-  // state (ABS's reservations, AQS's idle prefixes) still allocates per tag.
+  // more for 5 000 tags.
   using rfid::anticollision::ExperimentConfig;
   using rfid::anticollision::ProtocolKind;
   using rfid::anticollision::SchemeKind;
@@ -381,7 +380,9 @@ TEST_F(AllocGuardCensus, WholeCensusAllocationsStayFlat) {
        config(ProtocolKind::kDfsaSchoute, SchemeKind::kCrcCd)},
       {"Q-adaptive QCD-8", config(ProtocolKind::kQAdaptive, SchemeKind::kQcd)},
       {"BT CRC-CD", config(ProtocolKind::kBt, SchemeKind::kCrcCd)},
+      {"ABS CRC-CD", config(ProtocolKind::kAbs, SchemeKind::kCrcCd)},
       {"QT CRC-CD", config(ProtocolKind::kQt, SchemeKind::kCrcCd)},
+      {"AQS CRC-CD", config(ProtocolKind::kAqs, SchemeKind::kCrcCd)},
       {"DFSA/Schoute QCD-8, BSC 1e-3, ACK-verify, 2 recovery passes", bsc},
   };
   for (const auto& c : cases) {

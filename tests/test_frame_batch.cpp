@@ -381,14 +381,18 @@ TEST(FrameBatch, RowByRowMatchesWholeFrame) {
         whole.engine.setObserver(&wholeObs);
         rows.engine.setObserver(&rowsObs);
 
+        TagSoA wholeSoa;
+        wholeSoa.gather(whole.tags, *whole.scheme);
         FrameBatcher wholeBatcher;
-        wholeBatcher.beginRound(whole.tags, whole.engine, nullptr);
+        wholeBatcher.beginRound(whole.tags, wholeSoa);
         wholeBatcher.gatherActive(whole.tags);
         const auto verdicts =
             wholeBatcher.runFrame(whole.engine, whole.tags, 48, 40, whole.rng);
 
+        TagSoA rowsSoa;
+        rowsSoa.gather(rows.tags, *rows.scheme);
         FrameBatcher rowBatcher;
-        rowBatcher.beginRound(rows.tags, rows.engine, nullptr);
+        rowBatcher.beginRound(rows.tags, rowsSoa);
         rowBatcher.gatherActive(rows.tags);
         ASSERT_EQ(rowBatcher.drawFrame(48, 40, rows.rng).slotCount(), 40u);
         for (std::size_t slot = 0; slot < 40; ++slot) {
@@ -421,7 +425,9 @@ TEST(FrameBatch, RunFrameRejectsBadCalls) {
     EXPECT_THROW(batcher.runFrame(rig.engine, rig.tags, 8, 8, rig.rng),
                  PreconditionError)
         << "runFrame before beginRound";
-    batcher.beginRound(rig.tags, rig.engine, nullptr, mode);
+    TagSoA soa;
+    soa.gather(rig.tags, *rig.scheme);
+    batcher.beginRound(rig.tags, soa, mode);
     batcher.gatherActive(rig.tags);
     EXPECT_THROW(batcher.runFrame(rig.engine, rig.tags, 8, 0, rig.rng),
                  PreconditionError);
@@ -437,7 +443,7 @@ TEST(FrameBatch, BeginRoundRejectsMismatchedSnapshot) {
   const std::vector<Tag> fewer(rig.tags.begin(), rig.tags.begin() + 5);
   stale.gather(fewer, *rig.scheme);
   FrameBatcher batcher;
-  EXPECT_THROW(batcher.beginRound(rig.tags, rig.engine, &stale),
+  EXPECT_THROW(batcher.beginRound(rig.tags, stale),
                PreconditionError);
 }
 
@@ -481,8 +487,10 @@ TEST(FrameBatch, VogtEstimateFromBatchedCensusMatchesScalar) {
   Rig scalar(qcd(8), orChannel, 60, 71, 0, false);
   Rig batch(qcd(8), orChannel, 60, 71, 0, false);
 
+  TagSoA soa;
+  soa.gather(batch.tags, *batch.scheme);
   FrameBatcher batcher;
-  batcher.beginRound(batch.tags, batch.engine, nullptr);
+  batcher.beginRound(batch.tags, soa);
   batcher.gatherActive(batch.tags);
   const FrameCensus batchCensus = rfid::anticollision::tallyFrame(
       batcher.runFrame(batch.engine, batch.tags, kFrame, kFrame, batch.rng));

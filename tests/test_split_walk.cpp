@@ -13,6 +13,14 @@
 // case stays within its slot cap (asserted), so a cap fix cannot move a
 // constant; AQS with both a blocker and capture is left out for that
 // reason — QtAndAqs.CapAborts covers that path.
+//
+// Two more grids pin routes those rows miss, under CRC-CD and QCD l = 8:
+// the walks on impaired channels (a 1e-3 BSC on both legs with ACK-verify,
+// and erasure), hashed the same way; and whole runExperiment tree
+// censuses with no observer attached, the commit the benchmark runs,
+// hashed over every per-round sample of the aggregate. Their constants
+// were produced by the walker's per-slot runSlot queries, before each
+// query became a one-row batch.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -23,11 +31,13 @@
 #include "anticollision/abs.hpp"
 #include "anticollision/aqs.hpp"
 #include "anticollision/bt.hpp"
+#include "anticollision/experiment.hpp"
 #include "anticollision/qt.hpp"
 #include "common/rng.hpp"
 #include "core/detection_scheme.hpp"
 #include "helpers.hpp"
 #include "phy/channel.hpp"
+#include "phy/impairments/impaired_channel.hpp"
 #include "tags/population.hpp"
 
 namespace {
@@ -36,6 +46,7 @@ using rfid::anticollision::Protocol;
 using rfid::common::Rng;
 using rfid::phy::AirInterface;
 using rfid::testing::DigestObserver;
+using rfid::testing::Fnv;
 using rfid::testing::Harness;
 
 enum class Tree { kBt, kAbs, kQt, kAqs };
@@ -248,5 +259,224 @@ TEST(SplitWalk, BtSlotSequencesArePinned) { expectPinned(Tree::kBt); }
 TEST(SplitWalk, AbsSlotSequencesArePinned) { expectPinned(Tree::kAbs); }
 TEST(SplitWalk, QtSlotSequencesArePinned) { expectPinned(Tree::kQt); }
 TEST(SplitWalk, AqsSlotSequencesArePinned) { expectPinned(Tree::kAqs); }
+
+// --- impaired channels ------------------------------------------------------
+
+enum class Noise { kBsc, kErasure };
+
+struct ImpairedCase {
+  Tree tree;
+  bool crc;  ///< CRC-CD; otherwise QCD l = 8
+  Noise noise;
+  std::uint64_t seed;
+  std::uint64_t digest;
+};
+
+std::string describe(const ImpairedCase& c) {
+  static const char* const kNames[] = {"BT", "ABS", "QT", "AQS"};
+  return std::string(kNames[static_cast<int>(c.tree)]) +
+         (c.crc ? " CRC-CD" : " QCD-8") +
+         (c.noise == Noise::kBsc ? " BSC" : " erasure") + " seed " +
+         std::to_string(c.seed);
+}
+
+/// BSC: 1e-3 on both legs, ACK-verify on. Erasure: a tenth of the replies
+/// lost in flight and one slot in twenty faded, no verify.
+std::uint64_t runImpairedCase(const ImpairedCase& c) {
+  std::unique_ptr<rfid::core::DetectionScheme> scheme;
+  if (c.crc) {
+    scheme = std::make_unique<rfid::core::CrcCdScheme>(AirInterface{});
+  } else {
+    scheme = std::make_unique<rfid::core::QcdScheme>(AirInterface{}, 8);
+  }
+  rfid::phy::OrChannel inner;  // outlives the harness's impaired wrapper
+  auto impaired = std::make_unique<rfid::phy::ImpairedChannel>(
+      inner, rfid::phy::impairmentStreamSeed(c.seed, 0));
+  rfid::phy::ImpairmentConfig config;
+  if (c.noise == Noise::kBsc) {
+    config.model = rfid::phy::ImpairmentModel::kBsc;
+    config.tagToReaderBer = 1e-3;
+    config.detectionBer = 1e-3;
+  } else {
+    config.model = rfid::phy::ImpairmentModel::kErasure;
+    config.transmissionLoss = 0.1;
+    config.slotFade = 0.05;
+  }
+  impaired->addImpairment(config);
+  Harness h(kTags, c.seed, std::move(scheme), std::move(impaired));
+  if (c.noise == Noise::kBsc) {
+    h.engine.setRecoveryPolicy({/*ackVerify=*/true, /*verifyBits=*/16.0});
+  }
+  const std::unique_ptr<Protocol> protocol =
+      makeTree(c.tree, Protocol::kDefaultMaxSlots);
+  DigestObserver observer;
+  h.engine.setObserver(&observer);
+  Rng arrivals = Rng::forStream(c.seed, 1);
+  const bool adaptive = c.tree == Tree::kAbs || c.tree == Tree::kAqs;
+  for (int round = 0; round < (adaptive ? 3 : 1); ++round) {
+    if (round > 0) {
+      churn(h.tags, arrivals);
+    }
+    const bool done = protocol->run(h.engine, h.tags, h.rng);
+    observer.fnv.add(std::uint64_t{done});
+    for (const auto& tag : h.tags) {
+      observer.fnv.add(std::uint64_t{tag.believesIdentified});
+      observer.fnv.add(std::uint64_t{tag.correctlyIdentified});
+    }
+  }
+  observer.fnv.add(h.rng());
+  return observer.fnv.value();
+}
+
+// Rows: tree × scheme × noise × seed.
+const std::vector<ImpairedCase>& impairedCases() {
+  static const std::vector<ImpairedCase> kCases = {
+      {Tree::kBt, true, Noise::kBsc, 31, 0x0b9a81f1b2374b9full},
+      {Tree::kBt, true, Noise::kBsc, 32, 0x9e3b4656204395caull},
+      {Tree::kBt, true, Noise::kBsc, 33, 0xa07204ba837be141ull},
+      {Tree::kBt, true, Noise::kErasure, 31, 0x004d96bf8ed17322ull},
+      {Tree::kBt, true, Noise::kErasure, 32, 0x4e5364e83ea35562ull},
+      {Tree::kBt, true, Noise::kErasure, 33, 0xf22e3368023dcc97ull},
+      {Tree::kBt, false, Noise::kBsc, 31, 0x5316cacd5e182c5eull},
+      {Tree::kBt, false, Noise::kBsc, 32, 0xcf029d1472e0b1e0ull},
+      {Tree::kBt, false, Noise::kBsc, 33, 0x7e62d3ada14afbdcull},
+      {Tree::kBt, false, Noise::kErasure, 31, 0x56ee8343b45949f5ull},
+      {Tree::kBt, false, Noise::kErasure, 32, 0x10d44955d96c82efull},
+      {Tree::kBt, false, Noise::kErasure, 33, 0x71cc452d7e563be2ull},
+      {Tree::kAbs, true, Noise::kBsc, 31, 0xb68b86a089dc72c9ull},
+      {Tree::kAbs, true, Noise::kBsc, 32, 0x7cd52fdfe188ba74ull},
+      {Tree::kAbs, true, Noise::kBsc, 33, 0x11aa3f81cc2e8e82ull},
+      {Tree::kAbs, true, Noise::kErasure, 31, 0xad3d8b01df1b1db3ull},
+      {Tree::kAbs, true, Noise::kErasure, 32, 0x6ee1ff5603817ad6ull},
+      {Tree::kAbs, true, Noise::kErasure, 33, 0xd9d3a6b3cec77839ull},
+      {Tree::kAbs, false, Noise::kBsc, 31, 0x84272b817ea0a839ull},
+      {Tree::kAbs, false, Noise::kBsc, 32, 0xf51014146bb1903aull},
+      {Tree::kAbs, false, Noise::kBsc, 33, 0xa23b1130911c4d94ull},
+      {Tree::kAbs, false, Noise::kErasure, 31, 0x33e99e8d35278c50ull},
+      {Tree::kAbs, false, Noise::kErasure, 32, 0x3220bfbc6d9bf260ull},
+      {Tree::kAbs, false, Noise::kErasure, 33, 0xc7d2246bf4dabff2ull},
+      {Tree::kQt, true, Noise::kBsc, 31, 0x035acc1dc808c6d4ull},
+      {Tree::kQt, true, Noise::kBsc, 32, 0xa2751272fd6b8e1full},
+      {Tree::kQt, true, Noise::kBsc, 33, 0xe250b57c00e43cb1ull},
+      {Tree::kQt, true, Noise::kErasure, 31, 0x5c95ea6d7857d3d6ull},
+      {Tree::kQt, true, Noise::kErasure, 32, 0x179374259392920eull},
+      {Tree::kQt, true, Noise::kErasure, 33, 0xbe378da9a9a93c52ull},
+      {Tree::kQt, false, Noise::kBsc, 31, 0x739ace3945437c69ull},
+      {Tree::kQt, false, Noise::kBsc, 32, 0x753f7f6874f98c59ull},
+      {Tree::kQt, false, Noise::kBsc, 33, 0x853707ee111895c4ull},
+      {Tree::kQt, false, Noise::kErasure, 31, 0x4ec3b3c6840b3783ull},
+      {Tree::kQt, false, Noise::kErasure, 32, 0x60fb96dff44e9ee4ull},
+      {Tree::kQt, false, Noise::kErasure, 33, 0x340b826ffeca7fd7ull},
+      {Tree::kAqs, true, Noise::kBsc, 31, 0xf2ae008cdfa8d664ull},
+      {Tree::kAqs, true, Noise::kBsc, 32, 0x614dd7804c09c78bull},
+      {Tree::kAqs, true, Noise::kBsc, 33, 0x2ad658d6ce1d59efull},
+      {Tree::kAqs, true, Noise::kErasure, 31, 0xb9ad11616da525e6ull},
+      {Tree::kAqs, true, Noise::kErasure, 32, 0xaf8d0b680589d30aull},
+      {Tree::kAqs, true, Noise::kErasure, 33, 0x81a2fc32c466db19ull},
+      {Tree::kAqs, false, Noise::kBsc, 31, 0xb32ad0941e75796full},
+      {Tree::kAqs, false, Noise::kBsc, 32, 0xa3a8694a409ebad3ull},
+      {Tree::kAqs, false, Noise::kBsc, 33, 0xe3ca8b79aa1c92f4ull},
+      {Tree::kAqs, false, Noise::kErasure, 31, 0x2d1308d984723128ull},
+      {Tree::kAqs, false, Noise::kErasure, 32, 0xe014b79a6a5ab5dcull},
+      {Tree::kAqs, false, Noise::kErasure, 33, 0x0c553edf0e1f2f4eull},
+  };
+  return kCases;
+}
+
+TEST(SplitWalk, ImpairedSlotSequencesArePinned) {
+  for (const ImpairedCase& c : impairedCases()) {
+    const std::uint64_t digest = runImpairedCase(c);
+    EXPECT_EQ(digest, c.digest)
+        << describe(c) << ": digest 0x" << std::hex << digest;
+  }
+}
+
+// --- unobserved experiment censuses -----------------------------------------
+
+struct CensusCase {
+  rfid::anticollision::ProtocolKind protocol;
+  bool crc;  ///< CRC-CD; otherwise QCD l = 8
+  std::uint64_t seed;
+  std::uint64_t digest;
+};
+
+/// Every per-round sample of every aggregate metric, the summed confusion
+/// matrix and the completed-round count.
+std::uint64_t digestOf(const rfid::anticollision::AggregateResult& r) {
+  Fnv fnv;
+  for (const rfid::common::SampleSet* set :
+       {&r.idleSlots, &r.singleSlots, &r.collidedSlots, &r.totalSlots,
+        &r.frames, &r.throughput, &r.airtimeMicros, &r.meanDelayMicros,
+        &r.delayStddevMicros, &r.detectionAccuracy, &r.utilizationRate,
+        &r.phantoms, &r.lostTags, &r.correctTags, &r.misreads,
+        &r.verifyRejects, &r.recoveryPasses}) {
+    for (const double sample : set->samples()) {
+      fnv.add(sample);
+    }
+  }
+  for (const auto& row : r.confusionTotal) {
+    for (const std::uint64_t count : row) {
+      fnv.add(count);
+    }
+  }
+  fnv.add(std::uint64_t{r.completedRounds});
+  return fnv.value();
+}
+
+/// Four rounds of 200 tags on the pure OR channel, one thread.
+std::uint64_t runCensusCase(const CensusCase& c) {
+  rfid::anticollision::ExperimentConfig config;
+  config.protocol = c.protocol;
+  config.scheme = c.crc ? rfid::anticollision::SchemeKind::kCrcCd
+                        : rfid::anticollision::SchemeKind::kQcd;
+  config.qcdStrength = 8;
+  config.tagCount = 200;
+  config.rounds = 4;
+  config.threads = 1;
+  config.seed = c.seed;
+  return digestOf(rfid::anticollision::runExperiment(config));
+}
+
+// Rows: tree × scheme × seed.
+const std::vector<CensusCase>& censusCases() {
+  using rfid::anticollision::ProtocolKind;
+  static const std::vector<CensusCase> kCases = {
+      {ProtocolKind::kBt, true, 41, 0xdf290e53992771c7ull},
+      {ProtocolKind::kBt, true, 42, 0xb23a331f0dd98872ull},
+      {ProtocolKind::kBt, true, 43, 0xe7f894f821afa46full},
+      {ProtocolKind::kBt, false, 41, 0x152e814eb3be3a9dull},
+      {ProtocolKind::kBt, false, 42, 0xe301e0f3c2db8ba3ull},
+      {ProtocolKind::kBt, false, 43, 0x93bd0517439f995bull},
+      {ProtocolKind::kAbs, true, 41, 0x2b83c486ab2aea7aull},
+      {ProtocolKind::kAbs, true, 42, 0xa798a50781369778ull},
+      {ProtocolKind::kAbs, true, 43, 0x85febe5e5c7953f8ull},
+      {ProtocolKind::kAbs, false, 41, 0x34cf3e8c24aaaee7ull},
+      {ProtocolKind::kAbs, false, 42, 0x461c1b03b413d331ull},
+      {ProtocolKind::kAbs, false, 43, 0xd32ccce54af91db5ull},
+      {ProtocolKind::kQt, true, 41, 0x429312c44816e25aull},
+      {ProtocolKind::kQt, true, 42, 0x92e53571c492577aull},
+      {ProtocolKind::kQt, true, 43, 0x3342df5cf218ed82ull},
+      {ProtocolKind::kQt, false, 41, 0x232bdc10322d66e3ull},
+      {ProtocolKind::kQt, false, 42, 0xbcb1ddf0b40b28ffull},
+      {ProtocolKind::kQt, false, 43, 0xbf076464d328ed19ull},
+      {ProtocolKind::kAqs, true, 41, 0x429312c44816e25aull},
+      {ProtocolKind::kAqs, true, 42, 0x92e53571c492577aull},
+      {ProtocolKind::kAqs, true, 43, 0x3342df5cf218ed82ull},
+      {ProtocolKind::kAqs, false, 41, 0x232bdc10322d66e3ull},
+      {ProtocolKind::kAqs, false, 42, 0xbcb1ddf0b40b28ffull},
+      {ProtocolKind::kAqs, false, 43, 0xbf076464d328ed19ull},
+  };
+  return kCases;
+}
+
+TEST(SplitWalk, UnobservedCensusesArePinned) {
+  for (const CensusCase& c : censusCases()) {
+    const std::uint64_t digest = runCensusCase(c);
+    EXPECT_EQ(digest, c.digest)
+        << rfid::anticollision::toString(c.protocol)
+        << (c.crc ? " CRC-CD" : " QCD-8") << " seed " << c.seed
+        << ": digest 0x" << std::hex << digest;
+  }
+}
 
 }  // namespace
